@@ -9,7 +9,9 @@ over preallocated parallel arrays:
 * every key ever seen is interned to a dense integer *slot* (slots are
   never recycled; re-insertions reuse the key's slot),
 * per-object metadata (size, insertion time, frequency, queue links)
-  lives in ``array('q')`` / ``bytearray`` slabs indexed by slot,
+  lives in list / ``array('q')`` / ``bytearray`` slabs indexed by slot
+  (lists where the miss path reads a slab: a list read returns an
+  existing int, an array read allocates one),
 * residency is a per-slot location byte, so the hot hit path of a
   compiled-trace run is pure array indexing — no hashing, no object
   allocation, no method dispatch.
@@ -21,6 +23,21 @@ point :meth:`FastPolicyBase.run_compiled` additionally consumes a
 paths share the same insertion/eviction machinery — only the trivial
 hit path is duplicated (inlined) in the batch loop — so they cannot
 drift apart algorithmically; differential tests cover both.
+
+The same machinery is also the kernel of the vectorized hit-run engine
+(:mod:`repro.sim.vector`).  The engine builds a private clone with
+:meth:`FastPolicyBase.vector_clone`, whose slots are the trace's key
+ids, so ``_loc`` doubles as the residency mask the engine probes.  It
+calls ``_insert_slot`` on misses and skips hits entirely.  The hit
+side effects it skipped are applied lazily: eviction code calls
+``self._lazy.settle(slot, self)`` before it reads a slot's hit state,
+and ``settle`` replays the skipped hits through :meth:`_fold_hits`.
+Every eviction notice also reaches the ledger, which re-checks the
+evicted key's next request.  A clone has no listeners, so the FIFO and
+SIEVE twins skip the metadata only events report (insert time, hit
+count) there: on their short miss paths those writes cost up to a
+fifth of a vector run.  ``_lazy`` is ``None`` on every other instance,
+so each check is one attribute test on the scalar paths.
 
 Equality contract: a fast policy must make bit-identical decisions to
 its reference twin — same hit/miss result per request, same eviction
@@ -57,67 +74,6 @@ def _compiled_cls():
     return _COMPILED_CLS
 
 
-class IntRing:
-    """Growable power-of-two ring buffer of ints.
-
-    FIFO discipline: :meth:`push` appends at the tail (newest),
-    :meth:`pop` removes from the head (oldest).  ``pop`` assumes the
-    ring is non-empty — callers check ``len`` first, exactly like the
-    reference policies check their OrderedDicts.
-    """
-
-    __slots__ = ("_buf", "_mask", "_head", "_size")
-
-    def __init__(self, capacity: int = 16) -> None:
-        cap = 16
-        while cap < capacity:
-            cap <<= 1
-        self._buf = array("q", bytes(8 * cap))
-        self._mask = cap - 1
-        self._head = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, value: int) -> None:
-        size = self._size
-        if size > self._mask:
-            self._grow()
-        self._buf[(self._head + size) & self._mask] = value
-        self._size = size + 1
-
-    def pop(self) -> int:
-        head = self._head
-        value = self._buf[head]
-        self._head = (head + 1) & self._mask
-        self._size -= 1
-        return value
-
-    def _grow(self) -> None:
-        buf = self._buf
-        mask = self._mask
-        head = self._head
-        new = array("q", bytes(16 * (mask + 1)))
-        for i in range(self._size):
-            new[i] = buf[(head + i) & mask]
-        self._buf = new
-        self._mask = len(new) - 1
-        self._head = 0
-
-    def __iter__(self):
-        """Yield values oldest to newest (introspection / debugging)."""
-        buf = self._buf
-        mask = self._mask
-        head = self._head
-        for i in range(self._size):
-            yield buf[(head + i) & mask]
-
-    def clear(self) -> None:
-        self._head = 0
-        self._size = 0
-
-
 class FastPolicyBase(EvictionPolicy):
     """Base class for slab-allocated policies.
 
@@ -132,6 +88,10 @@ class FastPolicyBase(EvictionPolicy):
     valid across growth.
     """
 
+    #: The vector engine's lazy-hit ledger on a :meth:`vector_clone`;
+    #: ``None`` everywhere else (see the module docstring).
+    _lazy = None
+
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
         self._ids: dict = {}
@@ -139,9 +99,9 @@ class FastPolicyBase(EvictionPolicy):
         self._count = 0
         self._slab_cap = 256
         #: 0 = not resident; nonzero = resident (policies with several
-        #: regions use distinct codes, e.g. S3-FIFO's 1=S, 2=M).
+        #: regions use distinct codes, e.g. S3-FIFO's S and M tags).
         self._loc = bytearray(self._slab_cap)
-        self._size_of = array("q", bytes(8 * self._slab_cap))
+        self._size_of = [0] * self._slab_cap
         self._insert_time = array("q", bytes(8 * self._slab_cap))
         self._tmap_src: Optional["CompiledTrace"] = None
         self._tmap: Optional[list] = None
@@ -156,19 +116,44 @@ class FastPolicyBase(EvictionPolicy):
             self._ids[key] = slot
             self._key_of.append(key)
             if slot >= self._slab_cap:
-                self._grow_slabs()
+                self._grow_slabs(self._slab_cap)
         return slot
 
-    def _grow_slabs(self) -> None:
-        add = self._slab_cap
+    def _grow_slabs(self, add: int) -> None:
         self._slab_cap += add
         self._loc.extend(bytes(add))
-        self._size_of.frombytes(bytes(8 * add))
+        self._size_of.extend([0] * add)
         self._insert_time.frombytes(bytes(8 * add))
         self._grow_extra(add)
 
     def _grow_extra(self, add: int) -> None:
         """Extend subclass slabs by ``add`` slots, in place."""
+
+    # ------------------------------------------------------------------
+    # Vector-engine kernel protocol
+    # ------------------------------------------------------------------
+    @classmethod
+    def vector_clone(cls, capacity: int, spec: dict, num_objects: int):
+        """A fresh instance for the vector engine to drive.
+
+        It is configured by ``spec`` (a ``vector_spec()`` of this twin
+        or of its reference policy) and sized so that slot ``k`` is
+        trace key id ``k`` for every ``k < num_objects``: the engine
+        never interns keys, and ``_loc`` is its residency mask.
+        """
+        twin = cls(capacity)
+        twin._apply_spec(spec)
+        twin._grow_slabs(max(0, num_objects - twin._slab_cap))
+        return twin
+
+    def _apply_spec(self, spec: dict) -> None:
+        """Adopt the configuration in ``spec`` (nothing to adopt by
+        default: the capacity is the whole config)."""
+
+    def _fold_hits(self, slot: int, n: int) -> None:
+        """Apply ``n`` skipped hits on resident ``slot`` to the state
+        eviction reads (called on vector clones only)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Compiled-trace batch protocol
@@ -220,13 +205,20 @@ class FastPolicyBase(EvictionPolicy):
     # ------------------------------------------------------------------
     # Slot-based event emission / bulk accounting
     # ------------------------------------------------------------------
-    def _notify_evict_slot(self, slot: int, freq: int) -> None:
+    def _notify_evict_slot(
+        self, slot: int, freq: Optional[int] = None
+    ) -> None:
+        """Count an eviction and report it.  ``freq`` defaults to the
+        slot's hit count in the ``_freq`` slab, read only when a
+        listener wants it."""
         self.stats.evictions += 1
+        if self._lazy is not None:
+            self._lazy.evicted(slot)
         if self._evict_listeners:
             event = EvictionEvent(
                 key=self._key_of[slot],
                 size=self._size_of[slot],
-                freq=freq,
+                freq=self._freq[slot] if freq is None else freq,
                 insert_time=self._insert_time[slot],
                 evict_time=self.clock,
             )

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from array import array
+from collections import deque
 
-from repro.cache.fast_base import FastPolicyBase, IntRing
+from repro.cache.fast_base import FastPolicyBase
 from repro.sim.request import Request
 
 
 class FastFifoCache(FastPolicyBase):
-    """Plain FIFO over a ring buffer of slots.
+    """Plain FIFO over a deque of slots.
 
     Bit-identical to ``fifo``: hits touch only the frequency slab,
-    misses evict from the ring head until the object fits and push the
+    misses evict from the queue head until the object fits and push the
     new slot at the tail.
     """
 
@@ -21,7 +22,7 @@ class FastFifoCache(FastPolicyBase):
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
         self._freq = array("q", bytes(8 * self._slab_cap))
-        self._ring = IntRing()
+        self._queue: deque = deque()
 
     def _grow_extra(self, add: int) -> None:
         self._freq.frombytes(bytes(8 * add))
@@ -43,28 +44,43 @@ class FastFifoCache(FastPolicyBase):
     # Shared insertion / eviction machinery
     # ------------------------------------------------------------------
     def _insert_slot(self, slot: int, size: int) -> None:
-        while self.used + size > self.capacity:
-            self._evict_one()
-        self._size_of[slot] = size
-        self._insert_time[slot] = self.clock
-        self._freq[slot] = 0
-        self._loc[slot] = 1
-        self._ring.push(slot)
-        self.used += size
-        self._count += 1
+        queue = self._queue
+        loc = self._loc
+        size_of = self._size_of
+        used = self.used + size
+        capacity = self.capacity
+        # Evict from the head until the object fits.  No hit state is
+        # read, so a vector clone's ledger has nothing to settle here;
+        # the eviction notice syncs it.
+        while used > capacity:
+            victim = queue.popleft()
+            loc[victim] = 0
+            used -= size_of[victim]
+            self.used = used - size
+            self._notify_evict_slot(victim)
+        size_of[slot] = size
+        if self._lazy is None:  # event-only metadata; clones have no listeners
+            self._insert_time[slot] = self.clock
+            self._freq[slot] = 0
+        loc[slot] = 1
+        queue.append(slot)
+        self.used = used
 
-    def _evict_one(self) -> None:
-        slot = self._ring.pop()
-        self._loc[slot] = 0
-        self.used -= self._size_of[slot]
-        self._count -= 1
-        self._notify_evict_slot(slot, self._freq[slot])
+    def __len__(self) -> int:
+        return len(self._queue)
 
+    # ------------------------------------------------------------------
+    # Vector-engine kernel hooks (see repro.cache.fast_base)
+    # ------------------------------------------------------------------
     def vector_spec(self):
         """Kernel config for :mod:`repro.sim.vector` (exact type only)."""
         if type(self) is not FastFifoCache:
             return None
         return {"kind": "fifo"}
+
+    def _fold_hits(self, slot: int, n: int) -> None:
+        """FIFO evicts by insertion order alone: hits change nothing
+        eviction reads."""
 
     # ------------------------------------------------------------------
     # Batch path
@@ -75,59 +91,31 @@ class FastFifoCache(FastPolicyBase):
         table = trace.key_table
         loc = self._loc
         freq = self._freq
+        cap = self.capacity
+        unit = sizes is None
         # clock at absolute request index i is clock0 + i + 1
         clock0 = self.clock - start
         misses = 0
-        if sizes is None:
-            for i in range(start, stop):
-                slot = tmap[keys[i]]
-                if slot is not None:
-                    if loc[slot]:
-                        freq[slot] += 1
-                        continue
-                else:
-                    kid = keys[i]
-                    slot = self._intern(table[kid])
-                    tmap[kid] = slot
-                    if loc[slot]:
-                        freq[slot] += 1
-                        continue
-                misses += 1
-                self.clock = clock0 + i + 1
-                self._insert_slot(slot, 1)
-            requests = stop - start
-            self.clock = clock0 + stop
-            self._bulk_record(requests, misses, requests, misses)
-            return (requests, misses, requests, misses)
-        cap = self.capacity
-        bytes_requested = 0
         bytes_missed = 0
         for i in range(start, stop):
-            kid = keys[i]
-            size = sizes[i]
-            bytes_requested += size
-            if size > cap:
-                # Oversized is a miss even when the key is resident, with
-                # no metadata update (matches base.request's early return).
-                misses += 1
-                bytes_missed += size
-                continue
-            slot = tmap[kid]
-            if slot is not None:
-                if loc[slot]:
-                    freq[slot] += 1
-                    continue
-            else:
+            slot = tmap[keys[i]]
+            if slot is None:
+                kid = keys[i]
                 slot = self._intern(table[kid])
                 tmap[kid] = slot
-                if loc[slot]:
-                    freq[slot] += 1
-                    continue
+            # Oversized is a miss even when the key is resident, with no
+            # metadata update (matches base.request's early return).
+            if loc[slot] and (unit or sizes[i] <= cap):
+                freq[slot] += 1
+                continue
+            size = 1 if unit else sizes[i]
             misses += 1
             bytes_missed += size
-            self.clock = clock0 + i + 1
-            self._insert_slot(slot, size)
+            if size <= cap:
+                self.clock = clock0 + i + 1
+                self._insert_slot(slot, size)
         requests = stop - start
+        bytes_requested = requests if unit else sum(sizes[start:stop])
         self.clock = clock0 + stop
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

@@ -217,8 +217,11 @@ class S3FifoCache(EvictionPolicy):
 
     def vector_spec(self):
         """Kernel config for :mod:`repro.sim.vector` (exact type only —
-        the adaptive subclass overrides eviction hooks and opts out)."""
-        if type(self) is not S3FifoCache:
+        the adaptive subclass overrides eviction hooks and opts out —
+        and only for counters the ``s3fifo-fast`` kernel can hold)."""
+        from repro.core.s3fifo_fast import FREQ_FIELD_MAX
+
+        if type(self) is not S3FifoCache or self._freq_cap > FREQ_FIELD_MAX:
             return None
         return {
             "kind": "s3fifo",

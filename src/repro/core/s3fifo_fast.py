@@ -3,49 +3,52 @@
 Same Algorithm 1 — small FIFO **S**, main FIFO **M** with
 FIFO-Reinsertion, ghost queue **G** — but over slot-indexed slabs:
 
-* each object's metadata is one *state byte*: the 2-bit frequency
-  counter of Section 4.2 packed with a 2-bit queue tag
-  (``state = region << 2 | freq``), so the hot hit path is a single
+* each object's metadata is one *state byte*: the frequency counter of
+  Section 4.2 in the low six bits packed with a queue tag in the top
+  two (``state = region | freq``), so the hot hit path is a single
   bytearray read and write,
-* S and M are compacting list queues of slot indices (append at the
-  tail, advance a head cursor to pop, slice off the dead prefix once
-  it dominates) — in CPython a list read returns an existing
-  reference where an ``array`` read allocates, which makes this the
-  faster "ring",
-* the ghost queue is a flat array of (slot, stamp) pairs with a
-  per-slot stamp table; membership is one array load, eviction skips
-  stale entries lazily — no dict, no deque.
+* S and M are deques of slot indices,
+* the ghost queue is a deque of packed ``stamp << 32 | slot`` entries
+  plus a per-slot table of each slot's live entry; membership is one
+  list load, and eviction skips stale entries lazily — no dict.
 
 The decision sequence is bit-identical to the reference: every
 hit/miss outcome, every eviction (key, size, freq, timestamps), every
 demotion event, and the final stats checksum match ``s3fifo`` request
 for request.  Differential tests in ``tests/test_fast_policies.py``
-enforce this.
+enforce this.  This class is also the vector engine's S3-FIFO kernel,
+for ``s3fifo`` and ``s3fifo-fast`` alike (see :mod:`repro.cache.fast_base`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Optional
 
-from repro.cache.fast_base import NEG1, FastPolicyBase
+from repro.cache.fast_base import FastPolicyBase
 
-# State byte layout: 0 = absent, else (region << 2) | freq with
-# freq in [0, 3].  Region codes:
-_S_BASE = 4  # in the small queue S
-_M_BASE = 8  # in the main queue M
+# State byte layout: 0 = absent, else region | freq.
+_FREQ = 0x3F  # frequency bits
+_S_BASE = 0x40  # in the small queue S
+_M_BASE = 0x80  # in the main queue M
 
-#: Compact a queue's storage once the dead prefix passes this length
-#: and outweighs the live tail.
-_COMPACT_MIN = 1024
+#: Largest ``freq_cap`` the state byte holds.  The registered policy
+#: keeps the paper's 2-bit counter; vector clones of ``s3fifo`` with a
+#: wider counter use the spare bits.
+FREQ_FIELD_MAX = _FREQ
+
+#: Ghost entries pack their stamp above the slot index.
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 
 class FastS3FifoCache(FastPolicyBase):
-    """S3-FIFO over slot queues and packed 2-bit counters.
+    """S3-FIFO over slot queues and packed frequency counters.
 
-    Accepts the same parameters as :class:`S3FifoCache`; since the
-    frequency field is physically two bits, ``freq_cap`` must be at
-    most 3 (the reference default).  Use ``s3fifo`` for experimental
-    larger counters.
+    Accepts the same parameters as :class:`S3FifoCache`; like the
+    paper's implementation it keeps a 2-bit counter, so ``freq_cap``
+    must be at most 3 (the reference default).  Use ``s3fifo`` for
+    experimental larger counters.
     """
 
     name = "s3fifo-fast"
@@ -64,8 +67,8 @@ class FastS3FifoCache(FastPolicyBase):
             raise ValueError(f"small_ratio must be in (0, 1), got {small_ratio}")
         if not 1 <= freq_cap <= 3:
             raise ValueError(
-                "s3fifo-fast packs frequencies in 2 bits; freq_cap must be "
-                f"in [1, 3], got {freq_cap} (use s3fifo for larger caps)"
+                "s3fifo-fast keeps a 2-bit frequency counter; freq_cap must "
+                f"be in [1, 3], got {freq_cap} (use s3fifo for larger caps)"
             )
         if move_to_main_threshold < 0:
             raise ValueError(
@@ -80,29 +83,21 @@ class FastS3FifoCache(FastPolicyBase):
         self._threshold = move_to_main_threshold
         self._ghost_dynamic = ghost_entries is None
         self._g_cap = self._m_cap if ghost_entries is None else ghost_entries
-        # S and M: compacting list queues (see module docstring).
-        self._s_q: list = []
-        self._s_head = 0
-        self._s_len = 0
-        self._m_q: list = []
-        self._m_head = 0
-        self._m_len = 0
+        self._small: deque = deque()
+        self._main: deque = deque()
         self._s_used = 0
         self._m_used = 0
-        # Ghost: _g_stamp_of[slot] is the stamp of the slot's live ghost
-        # entry, -1 when absent.  The queue arrays hold (slot, stamp)
-        # in insertion order from _g_head on; an entry is live iff its
-        # stamp still matches, so removals are O(1) invalidations and
-        # stale entries are skipped when they reach the front.
-        self._g_stamp_of = NEG1 * self._slab_cap
-        self._g_qslot: list = []
-        self._g_qstamp: list = []
-        self._g_head = 0
+        # Ghost: _g_of[slot] is the slot's live entry, 0 when absent.
+        # _g_q holds entries oldest first; one whose slot has moved on
+        # (ghost hit, or re-added under a newer stamp) is stale and is
+        # skipped when it reaches the front.
+        self._g_of = [0] * self._slab_cap
+        self._g_q: deque = deque()
         self._g_live = 0
-        self._g_counter = 0
+        self._g_stamp = 0
 
     def _grow_extra(self, add: int) -> None:
-        self._g_stamp_of.extend(NEG1 * add)
+        self._g_of.extend([0] * add)
 
     # ------------------------------------------------------------------
     # Introspection (parity with S3FifoCache)
@@ -132,6 +127,54 @@ class FastS3FifoCache(FastPolicyBase):
     def ghost_capacity(self) -> int:
         return self._g_cap
 
+    def in_small(self, key: Hashable) -> bool:
+        slot = self._ids.get(key)
+        return slot is not None and self._loc[slot] & ~_FREQ == _S_BASE
+
+    def in_main(self, key: Hashable) -> bool:
+        slot = self._ids.get(key)
+        return slot is not None and self._loc[slot] & ~_FREQ == _M_BASE
+
+    def in_ghost(self, key: Hashable) -> bool:
+        slot = self._ids.get(key)
+        return slot is not None and self._g_of[slot] != 0
+
+    def freq_of(self, key: Hashable) -> int:
+        """Current counter value of a resident key (tests aid)."""
+        slot = self._ids.get(key)
+        if slot is None or not self._loc[slot]:
+            raise KeyError(key)
+        return self._loc[slot] & _FREQ
+
+    def remove(self, key: Hashable) -> bool:
+        """Live deletion for the service layer (not part of Algorithm 1).
+
+        The slot is spliced out of its queue eagerly — O(queue length),
+        which is fine for the service's delete/expiry rate.  Like the
+        reference policy, deletion leaves no ghost entry and fires no
+        eviction event.
+        """
+        slot = self._ids.get(key)
+        if slot is None:
+            return False
+        state = self._loc[slot]
+        if not state:
+            return False
+        size = self._size_of[slot]
+        if state & ~_FREQ == _S_BASE:
+            self._small.remove(slot)
+            self._s_used -= size
+        else:
+            self._main.remove(slot)
+            self._m_used -= size
+        self._loc[slot] = 0
+        self.used -= size
+        self._count -= 1
+        return True
+
+    # ------------------------------------------------------------------
+    # Vector-engine kernel hooks (see repro.cache.fast_base)
+    # ------------------------------------------------------------------
     def vector_spec(self):
         """Kernel config for :mod:`repro.sim.vector` (exact type only)."""
         if type(self) is not FastS3FifoCache:
@@ -146,120 +189,19 @@ class FastS3FifoCache(FastPolicyBase):
             "ghost_cap": self._g_cap,
         }
 
-    def in_small(self, key: Hashable) -> bool:
-        slot = self._ids.get(key)
-        return slot is not None and self._loc[slot] >> 2 == 1
+    def _apply_spec(self, spec: dict) -> None:
+        self._s_cap = spec["s_cap"]
+        self._m_cap = spec["m_cap"]
+        self._freq_cap = spec["freq_cap"]
+        self._threshold = spec["threshold"]
+        self._ghost_dynamic = spec["ghost_dynamic"]
+        self._g_cap = spec["ghost_cap"]
 
-    def in_main(self, key: Hashable) -> bool:
-        slot = self._ids.get(key)
-        return slot is not None and self._loc[slot] >> 2 == 2
-
-    def in_ghost(self, key: Hashable) -> bool:
-        slot = self._ids.get(key)
-        return slot is not None and self._g_stamp_of[slot] != -1
-
-    def freq_of(self, key: Hashable) -> int:
-        """Current 2-bit counter value of a resident key (tests aid)."""
-        slot = self._ids.get(key)
-        if slot is None or not self._loc[slot]:
-            raise KeyError(key)
-        return self._loc[slot] & 3
-
-    def remove(self, key: Hashable) -> bool:
-        """Live deletion for the service layer (not part of Algorithm 1).
-
-        The slot is spliced out of its queue's live region eagerly —
-        O(queue length), which is fine for the service's delete/expiry
-        rate — so the batch loops' invariant (every queued slot from the
-        head cursor on is live) is preserved.  Like the reference
-        policy, deletion leaves no ghost entry and fires no eviction
-        event.
-        """
-        slot = self._ids.get(key)
-        if slot is None:
-            return False
+    def _fold_hits(self, slot: int, n: int) -> None:
         state = self._loc[slot]
-        if not state:
-            return False
-        size = self._size_of[slot]
-        if state >> 2 == 1:  # resident in S
-            del self._s_q[self._s_q.index(slot, self._s_head)]
-            self._s_len -= 1
-            self._s_used -= size
-        else:  # resident in M
-            del self._m_q[self._m_q.index(slot, self._m_head)]
-            self._m_len -= 1
-            self._m_used -= size
-        self._loc[slot] = 0
-        self.used -= size
-        self._count -= 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Ghost queue primitives
-    # ------------------------------------------------------------------
-    def _ghost_add(self, slot: int) -> None:
-        cap = self._g_cap
-        if cap == 0:
-            return
-        counter = self._g_counter + 1
-        self._g_counter = counter
-        stamp_of = self._g_stamp_of
-        stamp_of[slot] = counter
-        self._g_qslot.append(slot)
-        self._g_qstamp.append(counter)
-        live = self._g_live + 1
-        if live > cap:
-            # Drop the oldest live entry; S3-FIFO never re-adds a key
-            # already in the ghost, so one drop always suffices.
-            qslot = self._g_qslot
-            qstamp = self._g_qstamp
-            head = self._g_head
-            while True:
-                old = qslot[head]
-                stamp = qstamp[head]
-                head += 1
-                if stamp_of[old] == stamp:
-                    stamp_of[old] = -1
-                    live -= 1
-                    break
-            self._g_head = head
-            if head > _COMPACT_MIN and head * 2 > len(qslot):
-                del qslot[:head]
-                del qstamp[:head]
-                self._g_head = 0
-        self._g_live = live
-
-    def _ghost_pop(self) -> None:
-        qslot = self._g_qslot
-        qstamp = self._g_qstamp
-        stamp_of = self._g_stamp_of
-        head = self._g_head
-        while True:
-            slot = qslot[head]
-            stamp = qstamp[head]
-            head += 1
-            if stamp_of[slot] == stamp:
-                stamp_of[slot] = -1
-                self._g_live -= 1
-                break
-        self._g_head = head
-        if head > _COMPACT_MIN and head * 2 > len(qslot):
-            del qslot[:head]
-            del qstamp[:head]
-            self._g_head = 0
-
-    def _ghost_remove(self, slot: int) -> bool:
-        if self._g_stamp_of[slot] == -1:
-            return False
-        self._g_stamp_of[slot] = -1
-        self._g_live -= 1
-        return True
-
-    def _ghost_set_capacity(self, capacity: int) -> None:
-        self._g_cap = capacity
-        while self._g_live > capacity:
-            self._ghost_pop()
+        freq = (state & _FREQ) + n
+        cap = self._freq_cap
+        self._loc[slot] = (state & ~_FREQ) | (freq if freq < cap else cap)
 
     # ------------------------------------------------------------------
     # Streaming path
@@ -269,7 +211,7 @@ class FastS3FifoCache(FastPolicyBase):
         if slot is not None:
             state = self._loc[slot]
             if state:
-                if state & 3 < self._freq_cap:
+                if state & _FREQ < self._freq_cap:
                     self._loc[slot] = state + 1
                 return True
         else:
@@ -281,59 +223,45 @@ class FastS3FifoCache(FastPolicyBase):
     # Shared insertion / eviction machinery (Algorithm 1)
     # ------------------------------------------------------------------
     def _insert_slot(self, slot: int, size: int) -> None:
-        while self.used + size > self.capacity:
-            if self._s_used >= self._s_cap or not self._m_len:
-                self._evict_s()
-            else:
-                self._evict_m()
-        self._size_of[slot] = size
-        self._insert_time[slot] = self.clock
-        if self._g_stamp_of[slot] != -1:  # ghost hit: straight to M
-            self._g_stamp_of[slot] = -1
-            self._g_live -= 1
-            self._m_q.append(slot)
-            self._m_len += 1
-            self._loc[slot] = _M_BASE  # in M, freq 0
-            self._m_used += size
-        else:
-            self._s_q.append(slot)
-            self._s_len += 1
-            self._loc[slot] = _S_BASE  # in S, freq 0
-            self._s_used += size
-        self.used += size
-        self._count += 1
-
-    def _evict_s(self) -> None:
-        s_q = self._s_q
+        """INSERT: evict until ``size`` fits, then admit ``slot`` to S,
+        or straight to M when the ghost remembers it."""
         loc = self._loc
         size_of = self._size_of
-        while self._s_len:
-            head = self._s_head
-            slot = s_q[head]
-            head += 1
-            if head > _COMPACT_MIN and head * 2 > len(s_q):
-                del s_q[:head]
-                head = 0
-            self._s_head = head
-            self._s_len -= 1
-            size = size_of[slot]
-            self._s_used -= size
-            freq = loc[slot] & 3
-            if freq >= self._threshold:
-                loc[slot] = _M_BASE  # access bits cleared on the move
-                self._m_q.append(slot)
-                self._m_len += 1
-                self._m_used += size
-                if self._demote_listeners:
-                    self._notify_demote_slot(slot, promoted=True)
-                if self._m_used > self._m_cap:
-                    self._evict_m()
-            else:
-                self.used -= size
-                self._count -= 1
-                loc[slot] = 0
+        g_of = self._g_of
+        limit = self.capacity - size
+        while self.used > limit:
+            if self._s_used < self._s_cap and self._main:
+                self._evict_m()
+                continue
+            # EVICTS: move accessed tails to M, evict the first cold
+            # tail to G.
+            small = self._small
+            lazy = self._lazy
+            threshold = self._threshold
+            while small:
+                victim = small.popleft()
+                vsize = size_of[victim]
+                self._s_used -= vsize
+                if lazy is not None:
+                    lazy.settle(victim, self)
+                freq = loc[victim] & _FREQ
+                if freq >= threshold:
+                    loc[victim] = _M_BASE  # access bits cleared on the move
+                    self._main.append(victim)
+                    self._m_used += vsize
+                    if self._demote_listeners:
+                        self._notify_demote_slot(victim, promoted=True)
+                    if self._m_used > self._m_cap:
+                        self._evict_m()
+                    continue
+                used = self.used - vsize
+                count = self._count - 1
+                self.used = used
+                self._count = count
+                loc[victim] = 0
+                g_cap = self._g_cap
                 if self._ghost_dynamic and (
-                    self.used != self._count or self._g_cap != self._m_cap
+                    used != count or g_cap != self._m_cap
                 ):
                     # Paper sizing: as many ghost entries as M can hold
                     # objects (byte capacity over running mean size).
@@ -341,38 +269,67 @@ class FastS3FifoCache(FastPolicyBase):
                     # is m_cap, so the recompute is skipped once the
                     # capacity is already pinned there (the unit-size
                     # steady state).
-                    count = self._count
-                    mean_size = self.used / count if count else 1.0
-                    self._ghost_set_capacity(
-                        max(1, int(self._m_cap / max(1.0, mean_size)))
+                    mean_size = used / count if count else 1.0
+                    g_cap = self._g_cap = max(
+                        1, int(self._m_cap / max(1.0, mean_size))
                     )
-                self._ghost_add(slot)
+                if g_cap:
+                    # Add the victim to G, then drop the oldest live
+                    # entries past the (possibly resized) capacity.  The
+                    # new entry is never dropped: g_cap >= 1.  S3-FIFO
+                    # never adds a key G already holds (admission
+                    # removes its entry).
+                    stamp = self._g_stamp + 1
+                    self._g_stamp = stamp
+                    entry = stamp << _SLOT_BITS | victim
+                    g_of[victim] = entry
+                    g_q = self._g_q
+                    g_q.append(entry)
+                    live = self._g_live + 1
+                    while live > g_cap:
+                        entry = g_q.popleft()
+                        old = entry & _SLOT_MASK
+                        if g_of[old] == entry:
+                            g_of[old] = 0
+                            live -= 1
+                    self._g_live = live
                 if self._demote_listeners:
-                    self._notify_demote_slot(slot, promoted=False)
-                self._notify_evict_slot(slot, freq)
-                return
-        # S drained entirely into M; fall back to evicting from M.
-        if self._m_len:
-            self._evict_m()
+                    self._notify_demote_slot(victim, promoted=False)
+                self._notify_evict_slot(victim, freq)
+                break
+            else:
+                # S drained entirely into M; fall back to evicting from M.
+                if self._main:
+                    self._evict_m()
+        size_of[slot] = size
+        self._insert_time[slot] = self.clock
+        if g_of[slot]:  # ghost hit: straight to M
+            g_of[slot] = 0
+            self._g_live -= 1
+            self._main.append(slot)
+            loc[slot] = _M_BASE  # in M, freq 0
+            self._m_used += size
+        else:
+            self._small.append(slot)
+            loc[slot] = _S_BASE  # in S, freq 0
+            self._s_used += size
+        self.used += size
+        self._count += 1
 
     def _evict_m(self) -> None:
-        m_q = self._m_q
+        """EVICTM: FIFO-Reinsertion with the frequency counter."""
+        main = self._main
         loc = self._loc
-        push = m_q.append
-        head = self._m_head
-        while self._m_len:
-            slot = m_q[head]
-            head += 1
+        lazy = self._lazy
+        while main:
+            slot = main.popleft()
+            if lazy is not None:
+                lazy.settle(slot, self)
             state = loc[slot]
-            if state & 3:
+            if state & _FREQ:
                 loc[slot] = state - 1
-                push(slot)  # FIFO-Reinsertion
+                main.append(slot)  # FIFO-Reinsertion
             else:
-                if head > _COMPACT_MIN and head * 2 > len(m_q):
-                    del m_q[:head]
-                    head = 0
-                self._m_head = head
-                self._m_len -= 1
                 size = self._size_of[slot]
                 self._m_used -= size
                 self.used -= size
@@ -380,322 +337,43 @@ class FastS3FifoCache(FastPolicyBase):
                 loc[slot] = 0
                 self._notify_evict_slot(slot, 0)
                 return
-        self._m_head = head
 
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
     def _batch(self, trace, start, stop, tmap):
-        if (
-            trace.sizes is None
-            and not self._evict_listeners
-            and not self._demote_listeners
-        ):
-            # Unit-size requests and nobody observing individual
-            # evictions: the whole of Algorithm 1 reduces to local
-            # integer arithmetic, so run it with zero method dispatch.
-            return self._batch_unit_plain(trace, start, stop, tmap)
         keys = trace.key_ids()
         sizes = trace.sizes
         table = trace.key_table
         loc = self._loc
         fcap = self._freq_cap
+        freq_bits = _FREQ
+        cap = self.capacity
+        unit = sizes is None
         clock0 = self.clock - start
         misses = 0
-        if sizes is None:
-            for i in range(start, stop):
-                slot = tmap[keys[i]]
-                if slot is not None:
-                    state = loc[slot]
-                    if state:
-                        if state & 3 < fcap:
-                            loc[slot] = state + 1
-                        continue
-                else:
-                    kid = keys[i]
-                    slot = self._intern(table[kid])
-                    tmap[kid] = slot
-                    state = loc[slot]
-                    if state:
-                        if state & 3 < fcap:
-                            loc[slot] = state + 1
-                        continue
-                misses += 1
-                self.clock = clock0 + i + 1
-                self._insert_slot(slot, 1)
-            requests = stop - start
-            self.clock = clock0 + stop
-            self._bulk_record(requests, misses, requests, misses)
-            return (requests, misses, requests, misses)
-        cap = self.capacity
-        bytes_requested = 0
         bytes_missed = 0
         for i in range(start, stop):
-            kid = keys[i]
-            size = sizes[i]
-            bytes_requested += size
-            if size > cap:
-                # Oversized is a miss even when the key is resident, with
-                # no metadata update (matches base.request's early return).
-                misses += 1
-                bytes_missed += size
-                continue
-            slot = tmap[kid]
-            if slot is not None:
-                state = loc[slot]
-                if state:
-                    if state & 3 < fcap:
-                        loc[slot] = state + 1
-                    continue
-            else:
+            slot = tmap[keys[i]]
+            if slot is None:
+                kid = keys[i]
                 slot = self._intern(table[kid])
                 tmap[kid] = slot
-                state = loc[slot]
-                if state:
-                    if state & 3 < fcap:
-                        loc[slot] = state + 1
-                    continue
+            state = loc[slot]
+            # Oversized is a miss even when the key is resident, with no
+            # metadata update (matches base.request's early return).
+            if state and (unit or sizes[i] <= cap):
+                if state & freq_bits < fcap:
+                    loc[slot] = state + 1
+                continue
+            size = 1 if unit else sizes[i]
             misses += 1
             bytes_missed += size
-            self.clock = clock0 + i + 1
-            self._insert_slot(slot, size)
+            if size <= cap:
+                self.clock = clock0 + i + 1
+                self._insert_slot(slot, size)
         requests = stop - start
+        bytes_requested = requests if unit else sum(sizes[start:stop])
         self.clock = clock0 + stop
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)
-
-    def _batch_unit_plain(self, trace, start, stop, tmap):
-        """The generic batch loop with Algorithm 1 expanded in place.
-
-        Used when nobody listens for per-eviction events and requests
-        are unit-size, which is the measured configuration of the perf
-        harness: every queue cursor, byte counter, and ghost stamp is a
-        local integer, so the miss path runs without a single method
-        call or attribute load.  Decision-for-decision identical to
-        ``_insert_slot``/``_evict_s``/``_evict_m`` — the differential
-        tests drive both this and the generic path against the
-        reference policy.
-        """
-        keys = trace.key_ids()
-        table = trace.key_table
-        intern = self._intern
-        loc = self._loc
-        size_of = self._size_of
-        insert_time = self._insert_time
-        fcap = self._freq_cap
-        threshold = self._threshold
-        cap_total = self.capacity
-        s_cap = self._s_cap
-        m_cap = self._m_cap
-        ghost_dynamic = self._ghost_dynamic
-        s_q = self._s_q
-        m_q = self._m_q
-        g_qslot = self._g_qslot
-        g_qstamp = self._g_qstamp
-        g_stamp_of = self._g_stamp_of
-        used = self.used
-        count = self._count
-        s_head = self._s_head
-        s_len = self._s_len
-        s_used = self._s_used
-        m_head = self._m_head
-        m_len = self._m_len
-        m_used = self._m_used
-        g_head = self._g_head
-        g_live = self._g_live
-        g_counter = self._g_counter
-        g_cap = self._g_cap
-        clock0 = self.clock - start
-        misses = 0
-        evictions = 0
-        for i in range(start, stop):
-            slot = tmap[keys[i]]
-            if slot is not None:
-                state = loc[slot]
-                if state:
-                    if state & 3 < fcap:
-                        loc[slot] = state + 1
-                    continue
-            else:
-                kid = keys[i]
-                slot = intern(table[kid])
-                tmap[kid] = slot
-                state = loc[slot]  # may be resident from an earlier run
-                if state:
-                    if state & 3 < fcap:
-                        loc[slot] = state + 1
-                    continue
-            misses += 1
-            if used >= cap_total:  # make room (one pass frees >= 1)
-                if s_used >= s_cap or not m_len:
-                    # ---- _evict_s, expanded ----
-                    evicted = False
-                    while s_len:
-                        vs = s_q[s_head]
-                        s_head += 1
-                        if s_head > _COMPACT_MIN and s_head * 2 > len(s_q):
-                            del s_q[:s_head]
-                            s_head = 0
-                        s_len -= 1
-                        sz = size_of[vs]
-                        s_used -= sz
-                        fr = loc[vs] & 3
-                        if fr >= threshold:
-                            loc[vs] = 8  # to M, access bits cleared
-                            m_q.append(vs)
-                            m_len += 1
-                            m_used += sz
-                            if m_used > m_cap:
-                                # ---- nested _evict_m, expanded ----
-                                while True:
-                                    vm = m_q[m_head]
-                                    m_head += 1
-                                    st = loc[vm]
-                                    if st & 3:
-                                        loc[vm] = st - 1
-                                        m_q.append(vm)
-                                    else:
-                                        if (
-                                            m_head > _COMPACT_MIN
-                                            and m_head * 2 > len(m_q)
-                                        ):
-                                            del m_q[:m_head]
-                                            m_head = 0
-                                        m_len -= 1
-                                        msz = size_of[vm]
-                                        m_used -= msz
-                                        used -= msz
-                                        count -= 1
-                                        loc[vm] = 0
-                                        evictions += 1
-                                        break
-                        else:
-                            used -= sz
-                            count -= 1
-                            loc[vs] = 0
-                            if ghost_dynamic and (
-                                used != count or g_cap != m_cap
-                            ):
-                                mean = used / count if count else 1.0
-                                g_cap = max(
-                                    1,
-                                    int(m_cap / (mean if mean > 1.0 else 1.0)),
-                                )
-                                while g_live > g_cap:
-                                    og = g_qslot[g_head]
-                                    ost = g_qstamp[g_head]
-                                    g_head += 1
-                                    if g_stamp_of[og] == ost:
-                                        g_stamp_of[og] = -1
-                                        g_live -= 1
-                                if (
-                                    g_head > _COMPACT_MIN
-                                    and g_head * 2 > len(g_qslot)
-                                ):
-                                    del g_qslot[:g_head]
-                                    del g_qstamp[:g_head]
-                                    g_head = 0
-                            if g_cap:  # ---- _ghost_add, expanded ----
-                                g_counter += 1
-                                g_stamp_of[vs] = g_counter
-                                g_qslot.append(vs)
-                                g_qstamp.append(g_counter)
-                                g_live += 1
-                                if g_live > g_cap:
-                                    while True:
-                                        og = g_qslot[g_head]
-                                        ost = g_qstamp[g_head]
-                                        g_head += 1
-                                        if g_stamp_of[og] == ost:
-                                            g_stamp_of[og] = -1
-                                            g_live -= 1
-                                            break
-                                    if (
-                                        g_head > _COMPACT_MIN
-                                        and g_head * 2 > len(g_qslot)
-                                    ):
-                                        del g_qslot[:g_head]
-                                        del g_qstamp[:g_head]
-                                        g_head = 0
-                            evictions += 1
-                            evicted = True
-                            break
-                    if not evicted and m_len:
-                        # S drained into M: evict from M instead.
-                        while True:
-                            vm = m_q[m_head]
-                            m_head += 1
-                            st = loc[vm]
-                            if st & 3:
-                                loc[vm] = st - 1
-                                m_q.append(vm)
-                            else:
-                                if (
-                                    m_head > _COMPACT_MIN
-                                    and m_head * 2 > len(m_q)
-                                ):
-                                    del m_q[:m_head]
-                                    m_head = 0
-                                m_len -= 1
-                                msz = size_of[vm]
-                                m_used -= msz
-                                used -= msz
-                                count -= 1
-                                loc[vm] = 0
-                                evictions += 1
-                                break
-                else:
-                    # ---- _evict_m, expanded ----
-                    while True:
-                        vm = m_q[m_head]
-                        m_head += 1
-                        st = loc[vm]
-                        if st & 3:
-                            loc[vm] = st - 1
-                            m_q.append(vm)
-                        else:
-                            if m_head > _COMPACT_MIN and m_head * 2 > len(m_q):
-                                del m_q[:m_head]
-                                m_head = 0
-                            m_len -= 1
-                            msz = size_of[vm]
-                            m_used -= msz
-                            used -= msz
-                            count -= 1
-                            loc[vm] = 0
-                            evictions += 1
-                            break
-            # ---- _insert_slot tail, expanded ----
-            size_of[slot] = 1
-            insert_time[slot] = clock0 + i + 1
-            if g_stamp_of[slot] != -1:  # ghost hit: straight to M
-                g_stamp_of[slot] = -1
-                g_live -= 1
-                m_q.append(slot)
-                m_len += 1
-                loc[slot] = 8
-                m_used += 1
-            else:
-                s_q.append(slot)
-                s_len += 1
-                loc[slot] = 4
-                s_used += 1
-            used += 1
-            count += 1
-        self.used = used
-        self._count = count
-        self._s_head = s_head
-        self._s_len = s_len
-        self._s_used = s_used
-        self._m_head = m_head
-        self._m_len = m_len
-        self._m_used = m_used
-        self._g_head = g_head
-        self._g_live = g_live
-        self._g_counter = g_counter
-        self._g_cap = g_cap
-        self.clock = clock0 + stop
-        self.stats.evictions += evictions
-        requests = stop - start
-        self._bulk_record(requests, misses, requests, misses)
-        return (requests, misses, requests, misses)

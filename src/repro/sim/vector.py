@@ -14,11 +14,17 @@ per-*request*):
   *hits by construction* and are consumed as whole runs without
   entering Python per-request.
 * Only candidate positions — non-resident keys, plus oversized
-  requests — drop to the scalar per-policy step, which mirrors the
-  reference eviction logic exactly.
-* Hit side-effects that the scalar step later needs (S3-FIFO's capped
-  frequency, SIEVE's visited bit) are **lazy**: they are reconstructed
-  exactly, on demand, from the trace's per-key occurrence index
+  requests — drop to the scalar miss path, which is the policy's own
+  array twin (``fifo-fast``, ``sieve-fast``, ``s3fifo-fast``).  The
+  engine drives a private clone of the twin
+  (:meth:`~repro.cache.fast_base.FastPolicyBase.vector_clone`) whose
+  residency bytes are the probed mask.  S-FIFO has no twin;
+  :class:`_SFifoKernel` is its array implementation here.
+* Hit side-effects that eviction later reads (S3-FIFO's capped
+  frequency, SIEVE's visited bit) are **lazy**: the twin's eviction
+  code asks the :class:`_HitLedger` to settle a slot before reading
+  it, and the ledger replays the skipped hits through the twin's
+  ``_fold_hits``, counted from the trace's per-key occurrence index
   (:meth:`~repro.traces.compiled.CompiledTrace.occurrence_index`).
   Between two scalar touches of a resident key, every one of its
   occurrences is a hit, so ``freq = min(stored + pending, cap)``
@@ -29,11 +35,11 @@ per-*request*):
   key stops being vector-consumable mid-chunk (eviction, or S-FIFO
   demotion to the secondary segment), its next occurrence inside the
   chunk — found by advancing its occurrence pointer, each position
-  visited at most once over the whole run — is spliced into the
-  candidate stream, so the stale region of the precomputed mask is
-  never trusted.  Keys that *become* resident mid-chunk are already
-  candidates at every occurrence (their mask was 0 at chunk start) and
-  re-probe live state in the scalar step.
+  visited at most once over the whole run — is pushed onto the
+  chunk's forced-event heap, so the stale region of the precomputed
+  mask is never trusted.  Keys that *become* resident mid-chunk are
+  already candidates at every occurrence (their mask was 0 at chunk
+  start) and re-probe live state in the event loop.
 
 LRU is excluded by design: its hits mutate the recency order, which is
 exactly the paper's point.
@@ -44,17 +50,22 @@ read only for its configuration (see :func:`vector_simulate`).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections import OrderedDict, deque
+from bisect import bisect_left
+from collections import OrderedDict
+from heapq import heappop, heappush
 from typing import Optional
 
+from repro.cache.base import CacheStats
+from repro.cache.fast_fifo import FastFifoCache
+from repro.cache.fast_sieve import FastSieveCache
+from repro.core.s3fifo_fast import FastS3FifoCache
 from repro.sim.simulator import SimulationResult, _resolve_warmup
 
 #: Default number of requests probed per vectorized residency lookup.
 VECTOR_CHUNK = 4096
 
-#: Registry names the vector engine can execute (the FIFO family; the
-#: ``*-fast`` twins share their reference's kernel).
+#: Registry names the vector engine can execute (the FIFO family; a
+#: reference policy and its ``*-fast`` twin run on the same kernel).
 VECTOR_POLICIES = (
     "fifo", "fifo-fast", "sfifo", "sieve", "sieve-fast",
     "s3fifo", "s3fifo-fast",
@@ -70,75 +81,60 @@ def _numpy():
 
 
 # ----------------------------------------------------------------------
-# Kernels: per-policy scalar steps over a shared lazy-state substrate
+# Lazy hit state shared by every kernel
 # ----------------------------------------------------------------------
-class _KernelBase:
-    """Shared state: residency mask, occurrence pointers, forced events.
-
-    ``mask[kid] == 1`` means a request for ``kid`` is a
-    *vector-consumable* hit: resident, and the hit has no structural
-    effect the vector pass must model eagerly.  (For S-FIFO that is
-    primary residency only — secondary hits restructure the queues and
-    take the scalar path.)
+class _HitLedger:
+    """Occurrence pointers and the chunk's forced events.
 
     ``ptr[kid]`` indexes the key's occurrence chain.  Occurrences left
-    of the pointer are folded into stored lazy state; occurrences
-    between the pointer and the current position are pending hits.
-    Every advance consumes a position permanently, so the total pointer
-    work over a run is O(requests) regardless of how often it happens.
+    of the pointer are folded into the kernel's stored hit state;
+    occurrences between the pointer and the current position ``pos``
+    are skipped hits.  Every advance consumes a position permanently,
+    so the total pointer work over a run is O(requests) regardless of
+    how often it happens.
 
     Insert invariant: when a key *misses* at position ``pos``, its
     pointer already sits exactly at ``pos``.  Every occurrence of a
     non-resident key is a scalar event (static candidate or forced),
     and each such event ends by syncing the pointer past itself —
     eviction forces consume up to the eviction position and the next
-    occurrence is the forced event itself.  Kernels therefore consume
-    the insert occurrence with a bare ``ptr[kid] += 1``.
+    occurrence is the forced event itself.  The engine therefore
+    consumes the insert occurrence with a bare ``ptr[kid] += 1``.
     """
 
-    def __init__(self, capacity: int, trace) -> None:
-        self.capacity = capacity
-        self.num_objects = trace.num_objects
-        # bytearray, not ndarray: the scalar step reads and writes
-        # single cells constantly, and bytearray indexing is ~10x
-        # cheaper than ndarray scalar access.  The engine probes it
-        # vectorized through a zero-copy np.frombuffer view.
-        self.mask = bytearray(self.num_objects)
+    def __init__(self, trace) -> None:
         self.occ_pos, self.occ_start = trace.occurrence_index()
         self.ptr = list(self.occ_start[:-1])
         self.forced: list = []
         self.chunk_end = 0
-        self.evictions = 0
-        self.used = 0
+        #: The event being processed; set by the engine.
+        self.pos = 0
 
     def begin_chunk(self, end: int) -> list:
         forced = self.forced = []
         self.chunk_end = end
         return forced
 
-    def _take_pending(self, kid: int, pos: int) -> int:
-        """Consume ``kid``'s occurrences at positions <= ``pos``;
-        return how many fell strictly before ``pos`` (pending hits)."""
+    def settle(self, kid: int, kernel) -> None:
+        """Consume ``kid``'s occurrences up to ``pos`` and fold those
+        strictly before it (skipped hits) into ``kernel``."""
         op = self.occ_pos
         p = self.ptr[kid]
         end = self.occ_start[kid + 1]
-        if p >= end or op[p] > pos:
-            return 0
-        lt = bisect_left(op, pos, p, end)
-        nxt = lt
-        if nxt < end and op[nxt] == pos:
-            nxt += 1
-        self.ptr[kid] = nxt
-        return lt - p
+        pos = self.pos
+        if p < end and op[p] <= pos:
+            lt = bisect_left(op, pos, p, end)
+            self.ptr[kid] = lt + 1 if lt < end and op[lt] == pos else lt
+            if lt > p:
+                kernel._fold_hits(kid, lt - p)
 
-    def _force_next(self, kid: int, pos: int) -> None:
-        """After ``kid`` left the vector-consumable set at ``pos``,
-        splice its next occurrence into this chunk's candidate stream.
-        (Flattened _take_pending + _force_next_synced — this runs once
-        per eviction, so call overhead matters.)"""
+    def evicted(self, kid: int) -> None:
+        """``kid`` stopped being vector-consumable at ``pos``: force
+        its next occurrence into this chunk's event stream."""
         op = self.occ_pos
         p = self.ptr[kid]
         end = self.occ_start[kid + 1]
+        pos = self.pos
         if p < end and op[p] <= pos:
             p = bisect_left(op, pos, p, end)
             if p < end and op[p] == pos:
@@ -147,373 +143,93 @@ class _KernelBase:
         if p < end:
             nxt = op[p]
             if nxt < self.chunk_end:
-                insort(self.forced, nxt)
-
-    def _force_next_synced(self, kid: int) -> None:
-        """Like :meth:`_force_next` for a pointer already past ``pos``."""
-        p = self.ptr[kid]
-        if p < self.occ_start[kid + 1]:
-            nxt = self.occ_pos[p]
-            if nxt < self.chunk_end:
-                insort(self.forced, nxt)
-
-    # Oversized requests (size > capacity) miss without touching the
-    # policy (base.request's early return), so the engine routes them
-    # here instead of step().  A resident key's occurrence must be
-    # consumed *without* counting as a hit; a non-resident key may need
-    # its next occurrence forced (its mask column can be stale when it
-    # was evicted earlier in the chunk).
-    def oversized_touch(self, kid: int, pos: int) -> None:
-        if self.mask[kid]:
-            self._skip_hit(kid, pos)
-        else:
-            self._force_next(kid, pos)
-
-    def _skip_hit(self, kid: int, pos: int) -> None:
-        self._take_pending(kid, pos)
+                heappush(self.forced, nxt)
 
 
-class _FifoKernel(_KernelBase):
-    """Plain FIFO.  Hits have no engine-visible effect at all."""
+# ----------------------------------------------------------------------
+# Kernels
+# ----------------------------------------------------------------------
+class _SFifoKernel:
+    """Segmented FIFO over trace key ids, in the array-twin protocol.
 
-    def __init__(self, capacity: int, trace) -> None:
-        super().__init__(capacity, trace)
-        self.queue: deque = deque()
-        self.size_of: Optional[dict] = None if trace.sizes is None else {}
+    Only primary hits are queue-invariant; a secondary hit restructures
+    (promotion + demotion cascade), so ``_loc`` marks primary residents
+    only and secondary keys always reach :meth:`_insert_slot`, which
+    promotes them and reports the hit.
+    """
 
-    def step(self, kid: int, size: int, pos: int) -> bool:
-        mask = self.mask
-        if mask[kid]:
-            return True
-        queue = self.queue
-        if self.size_of is None:
-            if len(queue) >= self.capacity:
-                victim = queue.popleft()
-                mask[victim] = 0
-                self.evictions += 1
-                self._force_next(victim, pos)
-        else:
-            used = self.used
-            cap = self.capacity
-            size_of = self.size_of
-            while used + size > cap:
-                victim = queue.popleft()
-                used -= size_of.pop(victim)
-                mask[victim] = 0
-                self.evictions += 1
-                self._force_next(victim, pos)
-            self.used = used + size
-            size_of[kid] = size
-        queue.append(kid)
-        mask[kid] = 1
-        self.ptr[kid] += 1  # consume this occurrence (insert invariant)
-        return False
+    _lazy: Optional[_HitLedger] = None
 
+    @classmethod
+    def vector_clone(cls, capacity: int, spec: dict, num_objects: int):
+        return cls(capacity, spec["primary_cap"], num_objects)
 
-class _SFifoKernel(_KernelBase):
-    """Segmented FIFO.  Only primary hits are queue-invariant; a
-    secondary hit restructures (promotion + demotion cascade), so the
-    mask covers primary residents only and secondary keys always take
-    the scalar path."""
-
-    def __init__(self, capacity: int, trace, primary_cap: int) -> None:
-        super().__init__(capacity, trace)
+    def __init__(self, capacity: int, primary_cap: int,
+                 num_objects: int) -> None:
+        self.capacity = capacity
         self.primary_cap = primary_cap
+        self._loc = bytearray(num_objects)
         self.primary: OrderedDict = OrderedDict()   # kid -> size
         self.secondary: OrderedDict = OrderedDict()
         self.primary_used = 0
+        self.used = 0
+        self.stats = CacheStats()
 
-    def step(self, kid: int, size: int, pos: int) -> bool:
-        if self.mask[kid]:
-            return True
+    def _fold_hits(self, kid: int, n: int) -> None:
+        """Primary hits change nothing S-FIFO evicts by."""
+
+    def _insert_slot(self, kid: int, size: int) -> bool:
         secondary = self.secondary
         if kid in secondary:
-            self._push_primary(kid, secondary.pop(kid), pos)
+            self._push_primary(kid, secondary.pop(kid))
             return True
         while self.used + size > self.capacity:
-            self._evict_one(pos)
+            self._evict_one()
         self.used += size
-        self._push_primary(kid, size, pos)
-        self.ptr[kid] += 1  # consume this occurrence (insert invariant)
+        self._push_primary(kid, size)
         return False
 
-    def _push_primary(self, kid: int, size: int, pos: int) -> None:
+    def _push_primary(self, kid: int, size: int) -> None:
         primary = self.primary
         primary[kid] = size
-        self.mask[kid] = 1
+        self._loc[kid] = 1
         self.primary_used += size
         while self.primary_used > self.primary_cap and len(primary) > 1:
             victim, vsize = primary.popitem(last=False)
             self.primary_used -= vsize
             self.secondary[victim] = vsize
-            self.mask[victim] = 0
-            self._force_next(victim, pos)
+            self._loc[victim] = 0
+            self._lazy.evicted(victim)  # demoted out of the mask
 
-    def _evict_one(self, pos: int) -> None:
+    def _evict_one(self) -> None:
         if self.secondary:
             _, vsize = self.secondary.popitem(last=False)
         else:
             victim, vsize = self.primary.popitem(last=False)
             self.primary_used -= vsize
-            self.mask[victim] = 0
-            self._force_next(victim, pos)
+            self._loc[victim] = 0
+            self._lazy.evicted(victim)
         self.used -= vsize
-        self.evictions += 1
-
-    # oversized_touch: the base implementation is exact here too — a
-    # secondary-resident key is not vector-consumable (mask 0), and its
-    # mask column can be stale when it was demoted earlier in the
-    # chunk, so its next occurrence must be forced like an absent
-    # key's; the forced position dedups against the static candidate.
+        self.stats.evictions += 1
 
 
-class _SieveKernel(_KernelBase):
-    """SIEVE with a lazy visited bit.
-
-    ``vstored[kid]`` holds the visited bit as of the key's last scalar
-    touch; the true bit at eviction-scan time is
-    ``vstored or pending > 0`` — visits are idempotent, so folding any
-    number of pending hits is exact.
-    """
-
-    def __init__(self, capacity: int, trace) -> None:
-        super().__init__(capacity, trace)
-        k = self.num_objects
-        self.vstored = bytearray(k)
-        self.newer = [-1] * k   # toward the queue head (insertion side)
-        self.older = [-1] * k   # toward the tail (eviction side)
-        self.head = -1
-        self.tail = -1
-        self.hand = -1
-        self.size_of: Optional[dict] = None if trace.sizes is None else {}
-        self.count = 0
-
-    def step(self, kid: int, size: int, pos: int) -> bool:
-        if self.mask[kid]:
-            return True
-        if self.size_of is None:
-            if self.count >= self.capacity:
-                self._evict_one(pos)
-        else:
-            while self.used + size > self.capacity:
-                self._evict_one(pos)
-            self.size_of[kid] = size
-        # push at the head
-        self.newer[kid] = -1
-        self.older[kid] = self.head
-        if self.head != -1:
-            self.newer[self.head] = kid
-        self.head = kid
-        if self.tail == -1:
-            self.tail = kid
-        self.vstored[kid] = 0
-        self.mask[kid] = 1
-        self.used += size
-        self.count += 1
-        self.ptr[kid] += 1  # consume this occurrence (insert invariant)
-        return False
-
-    def _evict_one(self, pos: int) -> None:
-        newer = self.newer
-        vstored = self.vstored
-        slot = self.hand
-        if slot == -1:
-            slot = self.tail
-        # Scan toward the head, clearing visited bits, wrapping to the
-        # tail — the first unvisited slot is the victim (reference
-        # SieveCache._evict).  Pending occurrences are always consumed
-        # before a clear: they predate the clear, so leaving them
-        # pending would wrongly resurrect the bit at a later read.
-        while True:
-            pending = self._take_pending(slot, pos)
-            if not (pending or vstored[slot]):
-                break
-            vstored[slot] = 0
-            nxt = newer[slot]
-            slot = nxt if nxt != -1 else self.tail
-        self.hand = newer[slot]  # -1 when the victim was the head
-        # unlink
-        nw = newer[slot]
-        ol = self.older[slot]
-        if nw != -1:
-            self.older[nw] = ol
-        else:
-            self.head = ol
-        if ol != -1:
-            newer[ol] = nw
-        else:
-            self.tail = nw
-        self.mask[slot] = 0
-        self.used -= 1 if self.size_of is None else self.size_of.pop(slot)
-        self.count -= 1
-        self.evictions += 1
-        self._force_next_synced(slot)
-
-    def _skip_hit(self, kid: int, pos: int) -> None:
-        if self._take_pending(kid, pos):
-            self.vstored[kid] = 1
+#: ``vector_spec()["kind"]`` -> the class whose clone runs it.
+_KERNELS = {
+    "fifo": FastFifoCache,
+    "sfifo": _SFifoKernel,
+    "sieve": FastSieveCache,
+    "s3fifo": FastS3FifoCache,
+}
 
 
-class _S3FifoKernel(_KernelBase):
-    """S3-FIFO (Algorithm 1) with a lazy capped frequency.
-
-    ``fstored[kid]`` is exact as of the key's last scalar touch
-    (insert, promotion, reinsertion decrement).  Between touches only
-    capped +1 increments happen — every occurrence of a resident key is
-    a hit — so the true frequency read by the evictor is
-    ``min(fstored + pending, freq_cap)``: increment-then-cap commutes
-    into cap-of-sum because ``min(min(f + a, c) + b, c) ==
-    min(f + a + b, c)``.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        trace,
-        s_cap: int,
-        m_cap: int,
-        freq_cap: int,
-        threshold: int,
-        ghost_dynamic: bool,
-        ghost_cap: int,
-    ) -> None:
-        from repro.structures.ghost import GhostFifo
-
-        super().__init__(capacity, trace)
-        self.s_cap = s_cap
-        self.m_cap = m_cap
-        self.freq_cap = freq_cap
-        self.threshold = threshold
-        self.ghost_dynamic = ghost_dynamic
-        self.unit = trace.sizes is None
-        self.small: deque = deque()
-        self.main: deque = deque()
-        self.size_of: dict = {}
-        self.fstored = [0] * self.num_objects
-        self.ghost = GhostFifo(ghost_cap)
-        self.s_used = 0
-        self.m_used = 0
-        self.count = 0
-
-    def step(self, kid: int, size: int, pos: int) -> bool:
-        if self.mask[kid]:
-            return True
-        while self.used + size > self.capacity:
-            if self.s_used >= self.s_cap or not self.main:
-                self._evict_s(pos)
-            else:
-                self._evict_m(pos)
-        if self.ghost.remove(kid):
-            self.main.append(kid)
-            self.m_used += size
-        else:
-            self.small.append(kid)
-            self.s_used += size
-        self.size_of[kid] = size
-        self.fstored[kid] = 0
-        self.used += size
-        self.count += 1
-        self.mask[kid] = 1
-        self.ptr[kid] += 1  # consume this occurrence (insert invariant)
-        return False
-
-    def _freq_of(self, kid: int, pos: int) -> int:
-        f = self.fstored[kid] + self._take_pending(kid, pos)
-        cap = self.freq_cap
-        return f if f < cap else cap
-
-    def _evict_s(self, pos: int) -> None:
-        small = self.small
-        while small:
-            victim = small.popleft()
-            vsize = self.size_of[victim]
-            self.s_used -= vsize
-            if self._freq_of(victim, pos) >= self.threshold:
-                self.fstored[victim] = 0  # access bits cleared on the move
-                self.main.append(victim)
-                self.m_used += vsize
-                if self.m_used > self.m_cap:
-                    self._evict_m(pos)
-            else:
-                del self.size_of[victim]
-                self.used -= vsize
-                self.count -= 1
-                if self.ghost_dynamic and not self.unit:
-                    # Paper sizing: as many ghost entries as M can hold
-                    # objects (reference S3FifoCache._evict_s).  On
-                    # unit traces the mean size is identically 1.0 and
-                    # the capacity stays m_cap, so the resize is
-                    # skipped there.
-                    mean_size = (
-                        self.used / self.count if self.count else 1.0
-                    )
-                    self.ghost.set_capacity(
-                        max(1, int(self.m_cap / max(1.0, mean_size)))
-                    )
-                self.ghost.add(victim)
-                self.mask[victim] = 0
-                self.evictions += 1
-                self._force_next_synced(victim)
-                return
-        # S drained entirely into M; fall back to evicting from M.
-        if self.main:
-            self._evict_m(pos)
-
-    def _evict_m(self, pos: int) -> None:
-        main = self.main
-        while main:
-            victim = main.popleft()
-            f = self._freq_of(victim, pos)
-            if f > 0:
-                self.fstored[victim] = f - 1
-                main.append(victim)  # FIFO-reinsertion
-            else:
-                vsize = self.size_of.pop(victim)
-                self.m_used -= vsize
-                self.used -= vsize
-                self.count -= 1
-                self.mask[victim] = 0
-                self.evictions += 1
-                self._force_next_synced(victim)
-                return
-
-    def _skip_hit(self, kid: int, pos: int) -> None:
-        # Oversized touch of a resident key: fold pending hits below
-        # ``pos`` into the stored frequency, then drop the occurrence
-        # at ``pos`` itself (the reference never calls _access for it).
-        f = self.fstored[kid] + self._take_pending(kid, pos)
-        cap = self.freq_cap
-        self.fstored[kid] = f if f < cap else cap
-
-
-# ----------------------------------------------------------------------
-# Policy -> kernel adaptation
-# ----------------------------------------------------------------------
-def _build_kernel(policy, trace) -> Optional[_KernelBase]:
-    spec = getattr(policy, "vector_spec", None)
-    spec = spec() if callable(spec) else None
-    if spec is None:
-        return None
-    kind = spec["kind"]
-    capacity = policy.capacity
-    if kind == "fifo":
-        return _FifoKernel(capacity, trace)
-    if kind == "sfifo":
-        return _SFifoKernel(capacity, trace, spec["primary_cap"])
-    if kind == "sieve":
-        return _SieveKernel(capacity, trace)
-    if kind == "s3fifo":
-        return _S3FifoKernel(
-            capacity,
-            trace,
-            s_cap=spec["s_cap"],
-            m_cap=spec["m_cap"],
-            freq_cap=spec["freq_cap"],
-            threshold=spec["threshold"],
-            ghost_dynamic=spec["ghost_dynamic"],
-            ghost_cap=spec["ghost_cap"],
-        )
-    raise ValueError(f"unknown vector kernel kind {kind!r}")
+def _build_kernel(policy, trace):
+    """A private kernel configured like ``policy``, over ``trace``'s
+    key ids, wired to a fresh :class:`_HitLedger`."""
+    spec = dict(policy.vector_spec())
+    cls = _KERNELS[spec.pop("kind")]
+    kernel = cls.vector_clone(policy.capacity, spec, trace.num_objects)
+    kernel._lazy = _HitLedger(trace)
+    return kernel
 
 
 def vector_eligible(policy, trace) -> bool:
@@ -542,6 +258,20 @@ def vector_eligible(policy, trace) -> bool:
     return True
 
 
+def _events(cand, forced):
+    """Merge a chunk's static candidates with its forced events, in
+    position order, each position once.  ``forced`` is a heap that
+    grows while the events are processed."""
+    for evt in cand:
+        while forced and forced[0] <= evt:
+            fevt = heappop(forced)
+            if fevt != evt:
+                yield fevt
+        yield evt
+    while forced:
+        yield heappop(forced)
+
+
 def vector_simulate(
     policy,
     trace,
@@ -568,92 +298,79 @@ def vector_simulate(
         raise ValueError(f"chunk must be positive, got {chunk}")
     np = _numpy()
     kernel = _build_kernel(policy, trace)
+    ledger = kernel._lazy
     n = len(trace)
     warmup_requests = min(_resolve_warmup(trace, warmup, warmup_requests), n)
 
     ids_np = np.frombuffer(trace.keys, dtype=np.int64)
     ids = trace.key_ids()
     sizes = trace.sizes
+    unit = sizes is None
     capacity = policy.capacity
-    if sizes is not None:
+    if not unit:
         sizes_np = np.frombuffer(sizes, dtype=np.int64)
         over_np = sizes_np > capacity
-    # Zero-copy view over the kernel's bytearray mask for the probe.
-    mask_np = np.frombuffer(kernel.mask, dtype=np.uint8)
-    step = kernel.step
-    oversized_touch = kernel.oversized_touch
+    # bytearray, not ndarray: the scalar miss path reads and writes
+    # single cells constantly, and bytearray indexing is ~10x cheaper
+    # than ndarray scalar access.  The probe goes through a zero-copy
+    # view (the kernel never resizes it: no keys are interned).
+    mask = kernel._loc
+    mask_np = np.frombuffer(mask, dtype=np.uint8)
+    insert = kernel._insert_slot
+    settle = ledger.settle
+    evicted = ledger.evicted
+    ptr = ledger.ptr
 
-    # counters[bucket] = [misses, bytes_requested, bytes_missed]
-    counters = [[0, 0, 0], [0, 0, 0]]
+    # counters[bucket] = (misses, bytes_requested, bytes_missed)
+    counters = []
     warmup_evictions = 0
-    for bucket, (lo, hi) in enumerate(((0, warmup_requests),
-                                       (warmup_requests, n))):
-        if bucket == 1:
-            warmup_evictions = kernel.evictions
-        acc = counters[bucket]
+    for lo, hi in ((0, warmup_requests), (warmup_requests, n)):
+        if lo:  # the measured span, after a non-empty warmup
+            warmup_evictions = kernel.stats.evictions
+        misses = 0
+        bytes_requested = 0
+        bytes_missed = 0
         for c0 in range(lo, hi, chunk):
             c1 = min(c0 + chunk, hi)
-            probe = mask_np[ids_np[c0:c1]]
-            if sizes is None:
-                cand_arr = np.flatnonzero(probe == 0)
-                if not cand_arr.size:
-                    continue
-                cand = (cand_arr + c0).tolist()
-                forced = kernel.begin_chunk(c1)
-                ci = 0
-                nc = len(cand)
-                while ci < nc or forced:
-                    if ci < nc:
-                        evt = cand[ci]
-                        if forced and forced[0] <= evt:
-                            fevt = forced.pop(0)
-                            if fevt == evt:
-                                ci += 1
-                            evt = fevt
-                        else:
-                            ci += 1
-                    else:
-                        evt = forced.pop(0)
-                    if not step(ids[evt], 1, evt):
-                        acc[0] += 1
-            else:
-                acc[1] += int(sizes_np[c0:c1].sum())
-                cand_arr = np.flatnonzero((probe == 0) | over_np[c0:c1])
-                if not cand_arr.size:
-                    continue
-                cand = (cand_arr + c0).tolist()
-                forced = kernel.begin_chunk(c1)
-                ci = 0
-                nc = len(cand)
-                while ci < nc or forced:
-                    if ci < nc:
-                        evt = cand[ci]
-                        if forced and forced[0] <= evt:
-                            fevt = forced.pop(0)
-                            if fevt == evt:
-                                ci += 1
-                            evt = fevt
-                        else:
-                            ci += 1
-                    else:
-                        evt = forced.pop(0)
-                    kid = ids[evt]
+            cand_np = mask_np[ids_np[c0:c1]] == 0
+            if not unit:
+                bytes_requested += int(sizes_np[c0:c1].sum())
+                cand_np |= over_np[c0:c1]
+            cand = (np.flatnonzero(cand_np) + c0).tolist()
+            if not cand:
+                continue
+            for evt in _events(cand, ledger.begin_chunk(c1)):
+                kid = ids[evt]
+                ledger.pos = evt
+                if unit:
+                    size = 1
+                else:
                     size = sizes[evt]
                     if size > capacity:
-                        acc[0] += 1
-                        acc[2] += size
-                        oversized_touch(kid, evt)
-                    elif not step(kid, size, evt):
-                        acc[0] += 1
-                        acc[2] += size
+                        # Oversized requests miss without touching the
+                        # policy (base.request's early return): consume
+                        # a resident key's occurrence without counting
+                        # it as a hit; force an absent key's next one
+                        # (its mask column may be stale).
+                        misses += 1
+                        bytes_missed += size
+                        if mask[kid]:
+                            settle(kid, kernel)
+                        else:
+                            evicted(kid)
+                        continue
+                if mask[kid]:
+                    continue  # became resident earlier in this chunk
+                if insert(kid, size):
+                    continue  # S-FIFO promoted a secondary resident
+                misses += 1
+                bytes_missed += size
+                ptr[kid] += 1  # consume this occurrence (insert invariant)
+        counters.append((misses, bytes_requested, bytes_missed))
     requests = n - warmup_requests
-    misses = counters[1][0]
-    if sizes is None:
+    misses, bytes_requested, bytes_missed = counters[1]
+    if unit:
         bytes_requested = requests
-        bytes_missed = misses
-    else:
-        bytes_requested = counters[1][1]
-        bytes_missed = counters[1][2]
     return SimulationResult(
         policy_name=policy.name,
         capacity=capacity,
@@ -661,7 +378,7 @@ def vector_simulate(
         misses=misses,
         bytes_requested=bytes_requested,
         bytes_missed=bytes_missed,
-        evictions=kernel.evictions - warmup_evictions,
+        evictions=kernel.stats.evictions - warmup_evictions,
         warmup_requests=warmup_requests,
         warmup_evictions=warmup_evictions,
     )
