@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import sys
 from typing import List, Optional
 
@@ -102,14 +103,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
         return 2
     module = importlib.import_module(module_name)
-    kwargs = {}
-    run_params = module.run.__code__.co_varnames[: module.run.__code__.co_argcount]
-    if "scale" in run_params:
-        kwargs["scale"] = args.scale
-    if "seed" in run_params:
-        kwargs["seed"] = args.seed
-    if "processes" in run_params:
-        kwargs["processes"] = args.processes
+    # signature(), not run.__code__: a run may be a functools.partial
+    # binding a shared harness to one configuration.
+    run_params = inspect.signature(module.run).parameters
+    kwargs = {
+        name: getattr(args, name)
+        for name in ("scale", "seed", "processes") if name in run_params
+    }
     rows = module.run(**kwargs)
     print(module.format_table(rows))
     return 0

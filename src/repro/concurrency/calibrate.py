@@ -99,8 +99,7 @@ def _scaling_rows(
     rows at ``shards``; ``axis="workers"`` pairs the 1-worker and
     highest-worker ``mp``-backend rows at the *same* driver thread
     count and batch size (the one axis that must vary is the worker
-    count).  Rows from schema-1 reports, which predate the ``backend``
-    field, read as in-process.  Socket-frontend rows (schema 4) are
+    count).  Socket-frontend rows (schema 4) are
     excluded on both axes: their per-op cost includes protocol and
     socket time, which is not what the analytic model's in-process
     cost profile describes.
@@ -109,8 +108,8 @@ def _scaling_rows(
         rows = [
             r for r in report["scenarios"]
             if r["shards"] == shards
-            and r.get("backend", "thread") == "thread"
-            and r.get("frontend", "inproc") == "inproc"
+            and r["backend"] == "thread"
+            and r["frontend"] == "inproc"
         ]
         single = next((r for r in rows if r["threads"] == 1), None)
         multi = max(
@@ -127,19 +126,17 @@ def _scaling_rows(
     if axis == "workers":
         rows: List[Dict[str, Any]] = [
             r for r in report["scenarios"]
-            if r.get("backend", "thread") == "mp"
-            and r.get("frontend", "inproc") == "inproc"
+            if r["backend"] == "mp" and r["frontend"] == "inproc"
         ]
         single = next((r for r in rows if r["shards"] == 1), None)
         if single is not None:
             rows = [
                 r for r in rows
                 if r["threads"] == single["threads"]
-                and r.get("batch_size", 1) == single.get("batch_size", 1)
-                # Never pair a pipe row with a shm row (schema 3): the
-                # transport changes per-op cost, not parallelism.
-                and r.get("transport", "pipe") == single.get("transport",
-                                                             "pipe")
+                and r["batch_size"] == single["batch_size"]
+                # Never pair a pipe row with a shm row: the transport
+                # changes per-op cost, not parallelism.
+                and r["transport"] == single["transport"]
             ]
         multi = max(
             (r for r in rows if r["shards"] > 1),
@@ -221,5 +218,5 @@ def calibration_summary(
     }
     if axis == "workers":
         summary["workers"] = n
-        summary["batch_size"] = multi.get("batch_size", 1)
+        summary["batch_size"] = multi["batch_size"]
     return summary

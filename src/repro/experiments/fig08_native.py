@@ -27,7 +27,7 @@ amortize pipe round-trips.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import format_rows
 from repro.service.loadgen import run_loadgen
@@ -55,6 +55,51 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _units_row(config: str, report: Dict[str, Any], unit: str,
+               workers: Sequence[int], cpus: int) -> Dict[str, Any]:
+    """MQPS per unit count (``n{units}``) plus the max-over-1-unit
+    ``speedup``; ``unit`` is the scenario field that varies."""
+    row: Dict[str, Any] = {"config": config, "cpus": cpus}
+    for scenario in report["scenarios"]:
+        row[f"n{scenario[unit]}"] = round(scenario["ops_per_sec"] / 1e6, 4)
+    row["speedup"] = round(
+        max(row[f"n{w}"] for w in workers) / row[f"n{workers[0]}"], 2
+    )
+    return row
+
+
+def _measure(
+    workers: Sequence[int],
+    batch_size: int,
+    **workload: Any,
+) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+    """:func:`run`'s rows plus the s3fifo mp report behind the first."""
+    workload = {**WORKLOAD, **workload}
+    cpus = usable_cpus()
+    rows: List[Dict[str, Any]] = []
+    reports: Dict[str, Dict[str, Any]] = {}
+    for policy in ("s3fifo", "lru"):
+        reports[policy] = run_loadgen(
+            shard_counts=tuple(workers),
+            thread_counts=(1,),
+            policy=policy,
+            backend="mp",
+            batch_size=batch_size,
+            **workload,
+        )
+        rows.append(_units_row(f"{policy} mp b={batch_size}",
+                               reports[policy], "shards", workers, cpus))
+    baseline = run_loadgen(
+        shard_counts=(1,),
+        thread_counts=tuple(workers),
+        policy="lru",
+        **workload,
+    )
+    rows.append(_units_row("lru thread global-lock", baseline, "threads",
+                           workers, cpus))
+    return rows, reports["s3fifo"]
+
+
 def run(
     workers: Sequence[int] = DEFAULT_WORKERS,
     batch_size: int = DEFAULT_BATCH,
@@ -67,45 +112,7 @@ def run(
     things trying to run concurrently".  Each row also carries the
     max-over-1-unit speedup and the machine's usable CPU count.
     """
-    workload = {**WORKLOAD, **workload}
-    cpus = usable_cpus()
-    rows: List[Dict[str, Any]] = []
-    for policy in ("s3fifo", "lru"):
-        report = run_loadgen(
-            shard_counts=tuple(workers),
-            thread_counts=(1,),
-            policy=policy,
-            backend="mp",
-            batch_size=batch_size,
-            **workload,
-        )
-        row: Dict[str, Any] = {
-            "config": f"{policy} mp b={batch_size}", "cpus": cpus,
-        }
-        for scenario in report["scenarios"]:
-            row[f"n{scenario['shards']}"] = round(
-                scenario["ops_per_sec"] / 1e6, 4
-            )
-        row["speedup"] = round(
-            max(row[f"n{w}"] for w in workers) / row[f"n{workers[0]}"], 2
-        )
-        rows.append(row)
-    baseline = run_loadgen(
-        shard_counts=(1,),
-        thread_counts=tuple(workers),
-        policy="lru",
-        **workload,
-    )
-    row = {"config": "lru thread global-lock", "cpus": cpus}
-    for scenario in baseline["scenarios"]:
-        row[f"n{scenario['threads']}"] = round(
-            scenario["ops_per_sec"] / 1e6, 4
-        )
-    row["speedup"] = round(
-        max(row[f"n{w}"] for w in workers) / row[f"n{workers[0]}"], 2
-    )
-    rows.append(row)
-    return rows
+    return _measure(workers, batch_size, **workload)[0]
 
 
 def batch_sweep(
@@ -136,27 +143,6 @@ def batch_sweep(
     return rows
 
 
-def native_calibration(
-    workers: Sequence[int] = DEFAULT_WORKERS,
-    batch_size: int = DEFAULT_BATCH,
-    policy: str = "s3fifo",
-    **workload: Any,
-) -> Dict[str, Any]:
-    """Workers-axis calibration digest from a fresh mp measurement."""
-    from repro.concurrency.calibrate import calibration_summary
-
-    workload = {**WORKLOAD, **workload}
-    report = run_loadgen(
-        shard_counts=tuple(workers),
-        thread_counts=(1,),
-        policy=policy,
-        backend="mp",
-        batch_size=batch_size,
-        **workload,
-    )
-    return calibration_summary(report, axis="workers")
-
-
 def format_table(rows: Optional[List[Dict[str, Any]]] = None) -> str:
     if rows is None:
         rows = run()
@@ -184,10 +170,17 @@ def format_batch_sweep(rows: Optional[List[Dict[str, Any]]] = None) -> str:
 
 
 def full_report() -> str:
-    """Everything the results file records: curves, sweep, calibration."""
-    calibration = native_calibration()
+    """Everything the results file records: curves, sweep, calibration.
+
+    The workers-axis calibration reuses the s3fifo mp sweep the curves
+    already measured.
+    """
+    from repro.concurrency.calibrate import calibration_summary
+
+    rows, s3fifo_report = _measure(DEFAULT_WORKERS, DEFAULT_BATCH)
+    calibration = calibration_summary(s3fifo_report, axis="workers")
     lines = [
-        format_table(),
+        format_table(rows),
         "",
         format_batch_sweep(),
         "",

@@ -1,4 +1,4 @@
-"""The throughput-vs-hit-ratio frontier, per backend and transport.
+"""The throughput-vs-hit-ratio frontier harness, per backend and transport.
 
 "Can Increasing the Hit Ratio Hurt Cache Throughput?" (Qiu, Yang,
 Harchol-Balter; PAPERS.md) argues that quoting ops/sec at one cache
@@ -6,24 +6,33 @@ size — or hit ratio at one throughput — hides the trade-off that
 matters: a bigger cache serves more hits but costs more per
 operation, so the honest picture is the *frontier* traced by sweeping
 cache size and plotting measured throughput against the hit ratio the
-service actually achieved.  A faster transport cannot move a point's
-hit ratio (same trace, same policy, same capacity — eviction decisions
-are identical), so its entire effect shows as a vertical shift of the
-frontier: that is exactly the claim "FIFO eviction is cheap enough
-that transport dominates" made measurable.
+service actually achieved.
 
-Three series share one seeded Zipf trace:
+This module is the one frontier harness.  A series is ``(label,
+marker, run_scenario kwargs)``: every series replays one seeded Zipf
+trace through :func:`~repro.service.loadgen.run_scenario` at each
+cache size, and the series differ only in *how requests reach the
+cache*.  That cannot move a point's hit ratio (same trace, same
+policy, same capacity — eviction decisions are identical), so its
+entire effect shows as a vertical shift of the frontier.  Two series
+sets ship: :data:`DEFAULT_SERIES` here (``experiment frontier``) and
+the socket set in :mod:`repro.experiments.net_frontier`
+(``experiment net-frontier``).
+
+The in-process set makes "FIFO eviction is cheap enough that
+transport dominates" measurable:
 
 * ``thread inproc`` — single in-process service, the no-IPC ceiling.
-* ``mp pipe``       — process-per-shard over duplex pipes (PR 5).
+* ``mp pipe``       — process-per-shard over duplex pipes.
 * ``mp shm``        — the same workers over shared-memory rings
   (:mod:`repro.service.shm`).
 
 Same honesty note as :mod:`repro.experiments.fig08_native`: rows
 record :func:`~repro.experiments.fig08_native.usable_cpus`, because on
-a 1-CPU host both mp series measure IPC overhead with no parallel
-payback and the shm spin loops deliberately yield instead of spinning.
-``make frontier`` writes ``benchmarks/results/frontier.txt``.
+a 1-CPU host the mp series measure IPC overhead with no parallel
+payback (the shm spin loops deliberately yield instead of spinning)
+and a socket series' event loop shares its core with the client
+threads.  ``make frontier`` writes ``benchmarks/results/frontier.txt``.
 """
 
 from __future__ import annotations
@@ -34,11 +43,13 @@ from repro.experiments.common import format_rows
 from repro.experiments.fig08_native import usable_cpus
 from repro.service.loadgen import run_scenario
 
-#: (series label, backend, transport) — transport only varies on mp.
-DEFAULT_SERIES: Tuple[Tuple[str, str, str], ...] = (
-    ("thread inproc", "thread", "pipe"),
-    ("mp pipe", "mp", "pipe"),
-    ("mp shm", "mp", "shm"),
+#: ``(label, chart marker, run_scenario kwargs)``.
+Series = Tuple[str, str, Dict[str, Any]]
+
+DEFAULT_SERIES: Tuple[Series, ...] = (
+    ("thread inproc", "T", {}),
+    ("mp pipe", "P", {"backend": "mp", "num_shards": 2}),
+    ("mp shm", "S", {"backend": "mp", "num_shards": 2, "transport": "shm"}),
 )
 
 #: Cache sizes as fractions of the object population; spans "mostly
@@ -54,22 +65,19 @@ WORKLOAD = dict(
 
 def run(
     cache_ratios: Sequence[float] = DEFAULT_RATIOS,
-    workers: int = 2,
-    batch_size: int = 1,
     scale: float = 1.0,
     seed: int = 42,
-    series: Sequence[Tuple[str, str, str]] = DEFAULT_SERIES,
+    series: Sequence[Series] = DEFAULT_SERIES,
     **workload: Any,
 ) -> List[Dict[str, Any]]:
     """One row per (series, cache size) on one shared trace.
 
     Every row replays the *identical* request sequence, so within a
     series the hit-ratio axis moves only with capacity, and at fixed
-    capacity the two mp series land on exactly the same hit ratio —
-    the transport can only move the throughput axis.  (The thread
-    series may differ by a hair: it runs one shard, and sharding
-    splits capacity.)  ``scale`` shrinks the request count (benchmark
-    use); ``workers`` sizes the mp series.
+    capacity two series on the same sharding and one driver (``mp
+    pipe``/``mp shm``) land on exactly the same hit ratio.  (A series
+    with a different shard count may differ by a hair: sharding splits
+    capacity.)  ``scale`` shrinks the request count (benchmark use).
     """
     from repro.traces.synthetic import zipf_trace
 
@@ -83,24 +91,18 @@ def run(
     )
     cpus = usable_cpus()
     rows: List[Dict[str, Any]] = []
-    for label, backend, transport in series:
-        num_shards = workers if backend == "mp" else 1
+    for label, marker, kwargs in series:
         for ratio in cache_ratios:
-            capacity = max(num_shards, int(workload["num_objects"] * ratio))
-            scenario = run_scenario(
-                trace,
-                capacity=capacity,
-                policy="s3fifo",
-                num_shards=num_shards,
-                num_threads=1,
-                backend=backend,
-                batch_size=batch_size,
-                transport=transport,
-            )
+            capacity = max(kwargs.get("num_shards", 1),
+                           int(workload["num_objects"] * ratio))
+            scenario = run_scenario(trace, capacity=capacity, **kwargs)
             rows.append({
                 "series": label,
-                "backend": backend,
+                "marker": marker,
+                "backend": scenario["backend"],
                 "transport": scenario["transport"],
+                "frontend": scenario["frontend"],
+                "pipeline_depth": scenario["pipeline_depth"],
                 "cache_ratio": ratio,
                 "capacity": capacity,
                 "hit_ratio": scenario["hit_ratio"],
@@ -134,14 +136,15 @@ def format_chart(
     """ASCII frontier: x = achieved hit ratio, y = measured kops.
 
     One marker letter per series; ``*`` marks collisions.  Reading the
-    chart: a better *transport* lifts its series straight up relative
-    to the others (hit ratios are pinned by the shared trace); a
-    bigger *cache* walks each series rightward along its own frontier.
+    chart: a cheaper path to the cache (transport, protocol,
+    pipelining) lifts its series straight up relative to the others —
+    at every hit ratio, because the x-positions are pinned by the
+    shared trace; a bigger *cache* walks each series rightward along
+    its own frontier.
     """
     if rows is None:
         rows = run()
-    labels = list(dict.fromkeys(r["series"] for r in rows))
-    marks = {label: "TPSXYZ"[i % 6] for i, label in enumerate(labels)}
+    marks = {r["series"]: r["marker"] for r in rows}
     xs = [r["hit_ratio"] for r in rows]
     ys = [r["kops"] for r in rows]
     x_lo, x_hi = min(xs), max(xs)
@@ -161,38 +164,47 @@ def format_chart(
     lines.append(" " * 9 + "+" + "-" * width + "+")
     lines.append(f"{'':9}{x_lo:<10.3f}{'hit ratio':^{width - 20}}"
                  f"{x_hi:>10.3f}")
-    for label in labels:
-        lines.append(f"  {marks[label]} = {label}")
+    for label, mark in marks.items():
+        lines.append(f"  {mark} = {label}")
     return "\n".join(lines)
 
 
-def full_report() -> str:
-    rows = run()
+def full_report(series: Sequence[Series] = DEFAULT_SERIES) -> str:
+    rows = run(series=series)
     lines = [
         format_table(rows),
         "",
         format_chart(rows),
         "",
-        "transport cannot move hit ratio (same trace, same eviction "
-        "decisions); it only moves the throughput axis.",
-        f"usable_cpus={usable_cpus()}  (on a 1-CPU host both mp series "
-        "measure IPC overhead with no parallel payback, by design)",
+        "how requests reach the cache cannot move hit ratio (same "
+        "trace, same eviction decisions); it only moves the throughput "
+        "axis.",
+        f"usable_cpus={usable_cpus()}  (on a 1-CPU host the mp series "
+        "measure IPC overhead with no parallel payback, and the event "
+        "loop shares one core with the client threads, by design)",
     ]
     return "\n".join(lines) + "\n"
 
 
-if __name__ == "__main__":
+def main(series: Sequence[Series] = DEFAULT_SERIES) -> None:
+    """``python -m`` entry point: print the full report (``--out`` also
+    writes it to a file)."""
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Throughput-vs-hit-ratio frontier per backend/transport."
+        description="Throughput-vs-hit-ratio frontier: "
+        + ", ".join(label for label, _, _ in series)
     )
     parser.add_argument(
         "--out", help="also write the full report to this file"
     )
     cli_args = parser.parse_args()
-    report_text = full_report()
+    report_text = full_report(series)
     print(report_text, end="")
     if cli_args.out:
         with open(cli_args.out, "w") as fh:
             fh.write(report_text)
+
+
+if __name__ == "__main__":
+    main()

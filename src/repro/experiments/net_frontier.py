@@ -2,7 +2,7 @@
 
 :mod:`repro.experiments.frontier` established the in-process picture:
 transport moves the throughput axis, capacity moves the hit-ratio
-axis.  This experiment re-runs the same sweep through the network
+axis.  This experiment runs the same harness over the network
 front-end (:mod:`repro.netsrv`), which adds the last cost layer a
 production deployment pays — protocol parsing, socket syscalls, and
 the event loop — and the lever that pays it back: **pipelining**.
@@ -17,204 +17,41 @@ Four series share one seeded Zipf trace:
 * ``memcached p16``   — the memcached text protocol at the same
   depth, via multi-key ``get`` (its native batching form).
 
-The frontier logic carries over exactly: the wire protocol cannot
-move a point's hit ratio (same trace, same policy, same capacity —
-the eviction decisions are identical bytes-for-bytes), so protocol
-and pipelining effects show purely as vertical shifts.  The gap
-between ``inproc`` and ``resp p1`` is the full network tax; the gap
-between ``resp p1`` and ``resp p16`` is how much of it pipelining
-refunds.
-
-Same honesty note as the other live experiments: rows record
-:func:`~repro.experiments.fig08_native.usable_cpus`, because on a
-1-CPU host the server's event loop and the client threads share one
-core and the socket series measure protocol overhead with no
-concurrency payback.  ``make net-frontier`` writes
+The wire protocol cannot move a point's hit ratio, so protocol and
+pipelining effects show purely as vertical shifts: the gap between
+``inproc`` and ``resp p1`` is the full network tax; the gap between
+``resp p1`` and ``resp p16`` is how much of it pipelining refunds.
+Socket series land on *near*-equal hit ratios: request interleaving
+across connections wiggles the order slightly, the same effect thread
+slicing has in-process.  ``make net-frontier`` writes
 ``benchmarks/results/net_frontier.txt``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Tuple
 
-from repro.experiments.common import format_rows
-from repro.experiments.fig08_native import usable_cpus
-from repro.service.loadgen import run_scenario
-
-#: (series label, frontend, pipeline depth) — ``inproc`` ignores depth.
-DEFAULT_SERIES: Tuple[Tuple[str, str, int], ...] = (
-    ("inproc", "inproc", 0),
-    ("resp p1", "resp", 1),
-    ("resp p16", "resp", 16),
-    ("memcached p16", "memcached", 16),
+from repro.experiments import frontier
+from repro.experiments.frontier import (  # noqa: F401  (the harness's)
+    DEFAULT_RATIOS,
+    Series,
+    format_chart,
+    format_table,
 )
 
-#: Cache sizes as fractions of the object population; spans "mostly
-#: missing" to "mostly hitting" so the frontier actually bends.
-DEFAULT_RATIOS: Tuple[float, ...] = (0.02, 0.05, 0.1, 0.2, 0.4)
-
-WORKLOAD = dict(
-    num_objects=8_000,
-    num_requests=40_000,
-    alpha=1.0,
+DEFAULT_SERIES: Tuple[Series, ...] = (
+    ("inproc", "I", {}),
+    ("resp p1", "R",
+     {"frontend": "resp", "connections": 2, "pipeline_depth": 1}),
+    ("resp p16", "P",
+     {"frontend": "resp", "connections": 2, "pipeline_depth": 16}),
+    ("memcached p16", "M",
+     {"frontend": "memcached", "connections": 2, "pipeline_depth": 16}),
 )
 
-
-def run(
-    cache_ratios: Sequence[float] = DEFAULT_RATIOS,
-    connections: int = 2,
-    backend: str = "thread",
-    workers: int = 2,
-    transport: str = "pipe",
-    scale: float = 1.0,
-    seed: int = 42,
-    series: Sequence[Tuple[str, str, int]] = DEFAULT_SERIES,
-    **workload: Any,
-) -> List[Dict[str, Any]]:
-    """One row per (series, cache size) on one shared trace.
-
-    Every row replays the *identical* request sequence, so within a
-    series the hit-ratio axis moves only with capacity, and at fixed
-    capacity all socket series land on (near) the same hit ratio —
-    the protocol can only move the throughput axis.  (Tiny residual
-    differences come from request interleaving across connections,
-    the same effect thread slicing has in-process.)  ``backend`` /
-    ``workers`` / ``transport`` choose what the server fronts;
-    ``scale`` shrinks the request count (benchmark use).
-    """
-    from repro.traces.synthetic import zipf_trace
-
-    workload = {**WORKLOAD, **workload}
-    num_requests = max(2_000, int(workload["num_requests"] * scale))
-    trace = zipf_trace(
-        num_objects=workload["num_objects"],
-        num_requests=num_requests,
-        alpha=workload["alpha"],
-        seed=seed,
-    )
-    cpus = usable_cpus()
-    num_shards = workers if backend in ("mp", "cluster") else 1
-    rows: List[Dict[str, Any]] = []
-    for label, frontend, depth in series:
-        for ratio in cache_ratios:
-            capacity = max(num_shards, int(workload["num_objects"] * ratio))
-            common = dict(
-                capacity=capacity,
-                policy="s3fifo",
-                num_shards=num_shards,
-                backend=backend,
-                transport=transport,
-            )
-            if frontend == "inproc":
-                scenario = run_scenario(trace, num_threads=1, **common)
-            else:
-                scenario = run_scenario(
-                    trace,
-                    frontend=frontend,
-                    connections=connections,
-                    pipeline_depth=depth,
-                    **common,
-                )
-            rows.append({
-                "series": label,
-                "frontend": frontend,
-                "pipeline_depth": depth,
-                "cache_ratio": ratio,
-                "capacity": capacity,
-                "hit_ratio": scenario["hit_ratio"],
-                "kops": round(scenario["ops_per_sec"] / 1e3, 1),
-                "p99_us": scenario["latency_us"]["p99"],
-                "cpus": cpus,
-            })
-    return rows
-
-
-def format_table(rows: Optional[List[Dict[str, Any]]] = None) -> str:
-    if rows is None:
-        rows = run()
-    return format_rows(
-        rows,
-        columns=["series", "cache_ratio", "capacity", "hit_ratio",
-                 "kops", "p99_us"],
-        title=(
-            f"Throughput-vs-hit-ratio frontier through the socket path "
-            f"(s3fifo, shared Zipf trace) on {rows[0]['cpus']} usable "
-            f"CPU(s)"
-        ),
-        float_fmt="{:.3f}",
-    )
-
-
-def format_chart(
-    rows: Optional[List[Dict[str, Any]]] = None,
-    width: int = 64,
-    height: int = 16,
-) -> str:
-    """ASCII frontier: x = achieved hit ratio, y = measured kops.
-
-    One marker letter per series; ``*`` marks collisions.  Reading the
-    chart: the drop from I to R1 is the per-round-trip network tax,
-    and the climb from R1 to RP is pipelining refunding it — at every
-    hit ratio, because the x-positions are pinned by the shared trace.
-    """
-    if rows is None:
-        rows = run()
-    labels = list(dict.fromkeys(r["series"] for r in rows))
-    marks = {label: "IRPMXZ"[i % 6] for i, label in enumerate(labels)}
-    xs = [r["hit_ratio"] for r in rows]
-    ys = [r["kops"] for r in rows]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) * 1.05 or 1.0
-    x_span = (x_hi - x_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for r in rows:
-        x = int((r["hit_ratio"] - x_lo) / x_span * (width - 1))
-        y = int((r["kops"] - y_lo) / (y_hi - y_lo) * (height - 1))
-        row, col = height - 1 - y, x
-        cell = grid[row][col]
-        grid[row][col] = marks[r["series"]] if cell == " " else "*"
-    lines = [f"kops vs hit ratio ({rows[0]['cpus']} usable CPU(s))"]
-    for i, cells in enumerate(grid):
-        y_val = y_hi - (y_hi - y_lo) * i / (height - 1)
-        lines.append(f"{y_val:>8.0f} |{''.join(cells)}|")
-    lines.append(" " * 9 + "+" + "-" * width + "+")
-    lines.append(f"{'':9}{x_lo:<10.3f}{'hit ratio':^{width - 20}}"
-                 f"{x_hi:>10.3f}")
-    for label in labels:
-        lines.append(f"  {marks[label]} = {label}")
-    return "\n".join(lines)
-
-
-def full_report() -> str:
-    rows = run()
-    lines = [
-        format_table(rows),
-        "",
-        format_chart(rows),
-        "",
-        "the wire protocol cannot move hit ratio (same trace, same "
-        "eviction decisions); protocol cost and pipelining only move "
-        "the throughput axis.",
-        f"usable_cpus={usable_cpus()}  (on a 1-CPU host the event loop "
-        "and client threads share one core: the socket series measure "
-        "protocol overhead with no concurrency payback, by design)",
-    ]
-    return "\n".join(lines) + "\n"
-
+#: The frontier harness over this series set.
+run = functools.partial(frontier.run, series=DEFAULT_SERIES)
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Throughput-vs-hit-ratio frontier through the "
-        "network front-end."
-    )
-    parser.add_argument(
-        "--out", help="also write the full report to this file"
-    )
-    cli_args = parser.parse_args()
-    report_text = full_report()
-    print(report_text, end="")
-    if cli_args.out:
-        with open(cli_args.out, "w") as fh:
-            fh.write(report_text)
+    frontier.main(DEFAULT_SERIES)

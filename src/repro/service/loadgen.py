@@ -9,21 +9,50 @@ throughput from assumed per-op costs, this module *measures* them — and
 :mod:`repro.concurrency.calibrate` closes the loop by fitting the
 analytic model's cost profile to a load-generator report.
 
-Two driving disciplines:
-
-* **closed loop** — every thread issues its next operation as soon as
-  the previous one returns.  Measures saturated throughput; latency
-  excludes queueing you would see at a fixed arrival rate.
-* **open loop** — operations are issued on a fixed schedule and latency
-  is measured from the *scheduled* start, so a slow operation penalises
-  every operation queued behind it (this avoids the coordinated-
-  omission trap of timing only from actual start).
-
 The workload is read-through: ``get(key)``, and on a miss ``set(key,
 value)``.  With one shard and one thread this drives the policy with
 exactly the offline simulator's request sequence, which the parity
 tests exploit.  All threads draw slices of one shared trace, so the
 workload is identical across thread counts.
+
+One driver loop (:func:`_drive`) runs every row.  It walks its slice
+in *windows* and varies on two axes only:
+
+* **pacing** — *closed*: each window issues as soon as the previous
+  one returns, which measures saturated throughput; *open*: windows
+  issue on a fixed schedule (one slot per operation, a window at its
+  first operation's slot) and latency is charged from the *scheduled*
+  slot, so a slow operation penalises every operation queued behind
+  it (this avoids the coordinated-omission trap of timing only from
+  actual start).
+* **round adapter** — how one window reaches the cache.  Per-key
+  (:func:`_key_rounds`, windows of one key): ``get``, then ``set`` on
+  a miss.  Batched (:func:`_many_rounds`, ``batch_size > 1``):
+  ``get_many`` over the window, then one ``set_many`` for the misses;
+  for the mp backend that coalesces the window into one pipe
+  round-trip per worker, the lever that amortizes IPC.  Socket
+  (:func:`_wire_rounds`, ``frontend="resp"``/``"memcached"``):
+  ``pipeline_depth`` pipelined GETs through a blocking client from
+  :mod:`repro.netsrv.client`, then pipelined SETs for the misses.
+
+Every window is charged the same way: each of its operations records
+the *window's* latency (an operation is done when its window is), and
+the window cost is split evenly across its operations for the hit/miss
+mean-cost counters — for a one-key window that is exactly that key's
+latency.  An adapter names the exception that marks a *lost* window:
+``WorkerCrashedError`` in-process (an mp worker crash, e.g. an
+injected ``fault_plans`` ``worker-crash``), ``ConnectionError`` /
+``OSError`` / ``McError`` on a socket (an injected ``conn-reset``, a
+crashed backend; the socket adapter reconnects for the next window).
+A lost window counts all its operations in the row's ``errors`` /
+``error_rate`` and the loop moves on — on the mp backend later
+operations on the dead shard keep failing and keep counting, while
+the cluster backend fails over and the error never recurs.  Error
+replies inside a socket window count in ``errors`` without charging
+latency.  Note a batched or pipelined workload is not
+operation-identical to the per-key one: duplicate keys inside one
+window all miss together (the per-key loop would hit from the second
+occurrence on).
 
 Three backends (``backend=``):
 
@@ -41,39 +70,13 @@ Three backends (``backend=``):
   becomes the node-process count, with ``replication`` copies per key
   and failover instead of errors when a node dies.
 
-A worker that loses its shard mid-run (an mp worker crash, e.g. an
-injected ``fault_plans`` ``worker-crash``) no longer aborts the whole
-benchmark thread: the crashed operation is counted in the row's
-``errors`` / ``error_rate`` fields and the loop moves on — on the mp
-backend later operations on the dead shard keep failing and keep
-counting, while the cluster backend fails over and the error never
-recurs.  Rows also carry the cluster health counters (``nodes_up``,
+Rows also carry the cluster health counters (``nodes_up``,
 ``failovers``, ``read_repairs``, ``degraded_ops``) when the backend
-reports them.
-
-``batch_size > 1`` switches both backends to the batched read-through
-loop: ``get_many`` over the batch, then one ``set_many`` for the
-misses.  For the mp backend that coalesces each batch into one pipe
-round-trip per worker — the lever that amortizes IPC.  Batched rows
-report each operation's latency as its *batch's* latency (an
-operation is done when its batch is), and hit/miss mean costs as the
-batch cost split evenly across its operations.  Note the batched
-workload is not operation-identical to the unbatched one: duplicate
-keys inside one batch all miss together (the unbatched loop would hit
-from the second occurrence on).
-
-Since schema 4 the driving side has a **frontend** axis too:
-``frontend="inproc"`` (the default, everything above) calls the
-service in-process, while ``frontend="resp"`` / ``"memcached"`` stand
-up a :class:`~repro.netsrv.server.CacheServer` over the backend and
-drive it through real sockets with the blocking clients in
-:mod:`repro.netsrv.client` — one client thread per ``connections``,
-each issuing closed-loop read-through windows of ``pipeline_depth``
-pipelined GETs (then pipelined SETs for the misses).  Socket rows
-reuse the batch accounting conventions: an operation's latency is its
-*window's* latency.  A connection the server drops (an injected
-``conn-reset``, a crashed backend) counts its window in ``errors``
-and reconnects, mirroring the ``WorkerCrashedError`` discipline.
+reports them.  Since schema 4 the driving side has a **frontend**
+axis: ``frontend="inproc"`` (the default) calls the service
+in-process, while ``frontend="resp"`` / ``"memcached"`` stand up a
+:class:`~repro.netsrv.server.CacheServer` over the backend and drive
+it with one socket adapter per ``connections`` (closed pacing only).
 """
 
 from __future__ import annotations
@@ -121,198 +124,160 @@ class _WorkerStats:
         self.errors = 0
 
 
-def _run_closed(service, keys: Sequence[int], value: Any,
-                stats: _WorkerStats, barrier: threading.Barrier) -> None:
-    get = service.get
-    set_ = service.set
-    record = stats.latencies_ns.append
-    clock = time.perf_counter_ns
-    barrier.wait()
-    for key in keys:
-        t0 = clock()
-        try:
-            if get(key) is None:
-                set_(key, value)
-                t1 = clock()
-                stats.misses += 1
-                stats.miss_ns += t1 - t0
-            else:
-                t1 = clock()
-                stats.hits += 1
-                stats.hit_ns += t1 - t0
-        except WorkerCrashedError:
-            # The shard died under this op: count it and keep driving
-            # the surviving shards — the run's error_rate reports it.
-            stats.errors += 1
-            continue
-        record(t1 - t0)
+def _drive(rounds, num_keys: int, width: int, interval_ns: int,
+           stats: _WorkerStats, barrier: threading.Barrier) -> None:
+    """The one driver loop: replay ``num_keys`` keys in windows of
+    ``width``.
 
-
-def _run_open(service, keys: Sequence[int], value: Any,
-              stats: _WorkerStats, barrier: threading.Barrier,
-              interval_ns: int) -> None:
-    get = service.get
-    set_ = service.set
-    record = stats.latencies_ns.append
-    clock = time.perf_counter_ns
-    barrier.wait()
-    start = clock()
-    for i, key in enumerate(keys):
-        scheduled = start + i * interval_ns
-        wait = scheduled - clock()
-        if wait > 0:
-            time.sleep(wait / 1e9)
-        # Latency from the *scheduled* arrival: queueing delay behind a
-        # slow predecessor is charged to every operation it delays.
-        try:
-            if get(key) is None:
-                set_(key, value)
-                done = clock()
-                stats.misses += 1
-                stats.miss_ns += done - scheduled
-            else:
-                done = clock()
-                stats.hits += 1
-                stats.hit_ns += done - scheduled
-        except WorkerCrashedError:
-            stats.errors += 1
-            continue
-        record(done - scheduled)
-
-
-def _charge_batch(stats: _WorkerStats, batch_len: int, missed: int,
-                  elapsed: int, record) -> None:
-    """Account one batch: per-op latency is the batch latency, and the
-    batch cost is split evenly across its operations for the hit/miss
-    mean-cost counters (per-op costs are not separable inside a batch).
+    ``rounds`` is a round adapter ``(round_, lost, close)`` bound to
+    the driver's keys: ``round_(lo, hi)`` serves the window
+    ``keys[lo:hi]`` and returns ``(missed, failed)`` — its misses, and
+    its error replies (charged to ``errors``, not to latency); an
+    exception in ``lost`` loses the whole window; ``close`` (or
+    ``None``) releases the adapter at the end.  Windows travel as
+    index bounds so a one-key window allocates nothing: a container
+    per operation adds garbage-collector passes that cost the per-key
+    loop several percent.  ``interval_ns == 0`` paces closed;
+    otherwise open, one slot of ``interval_ns`` per operation, with
+    latency charged from the window's scheduled slot
+    (coordinated-omission rules apply to windows exactly as to single
+    operations).
     """
-    nhit = batch_len - missed
-    stats.hits += nhit
-    stats.misses += missed
-    per_op = elapsed // batch_len
-    stats.hit_ns += per_op * nhit
-    stats.miss_ns += per_op * missed
-    for _ in range(batch_len):
-        record(elapsed)
-
-
-def _run_closed_batched(service, keys: Sequence[int], value: Any,
-                        stats: _WorkerStats, barrier: threading.Barrier,
-                        batch_size: int) -> None:
-    get_many = service.get_many
-    set_many = service.set_many
-    record = stats.latencies_ns.append
+    round_, lost, close = rounds
+    latencies = stats.latencies_ns
+    record = latencies.append
     clock = time.perf_counter_ns
-    barrier.wait()
-    for start in range(0, len(keys), batch_size):
-        batch = keys[start:start + batch_size]
-        t0 = clock()
-        try:
-            values = get_many(batch)
-            missed = [k for k, v in zip(batch, values) if v is None]
-            if missed:
-                set_many([(k, value) for k in missed])
-        except WorkerCrashedError:
-            stats.errors += len(batch)
-            continue
-        elapsed = clock() - t0
-        _charge_batch(stats, len(batch), len(missed), elapsed, record)
-
-
-def _run_open_batched(service, keys: Sequence[int], value: Any,
-                      stats: _WorkerStats, barrier: threading.Barrier,
-                      interval_ns: int, batch_size: int) -> None:
-    get_many = service.get_many
-    set_many = service.set_many
-    record = stats.latencies_ns.append
-    clock = time.perf_counter_ns
+    hits = misses = hit_ns = miss_ns = errors = 0
     barrier.wait()
     start = clock()
-    for bstart in range(0, len(keys), batch_size):
-        batch = keys[bstart:bstart + batch_size]
-        # A batch issues at its first operation's slot; latency is
-        # still charged from the schedule (coordinated omission rules
-        # apply to batches exactly as to single operations).
-        scheduled = start + bstart * interval_ns
-        wait = scheduled - clock()
-        if wait > 0:
-            time.sleep(wait / 1e9)
-        try:
-            values = get_many(batch)
-            missed = [k for k, v in zip(batch, values) if v is None]
-            if missed:
-                set_many([(k, value) for k in missed])
-        except WorkerCrashedError:
-            stats.errors += len(batch)
-            continue
-        elapsed = clock() - scheduled
-        _charge_batch(stats, len(batch), len(missed), elapsed, record)
+    try:
+        for lo in range(0, num_keys, width):
+            hi = lo + width
+            if hi > num_keys:
+                hi = num_keys
+            if interval_ns:
+                t0 = start + lo * interval_ns
+                wait = t0 - clock()
+                if wait > 0:
+                    time.sleep(wait / 1e9)
+            else:
+                t0 = clock()
+            try:
+                missed, failed = round_(lo, hi)
+            except lost:
+                errors += hi - lo
+                continue
+            elapsed = clock() - t0
+            errors += failed
+            counted = hi - lo - failed
+            if counted == 1:
+                # A one-key window is charged exactly its own latency;
+                # inlined because it is the per-key hot path.
+                if missed:
+                    misses += 1
+                    miss_ns += elapsed
+                else:
+                    hits += 1
+                    hit_ns += elapsed
+                record(elapsed)
+            elif counted:
+                # Per-op costs are not separable inside a window: every
+                # operation records the window latency, and the window
+                # cost splits evenly for the hit/miss mean-cost counters.
+                missed = min(missed, counted)
+                per_op = elapsed // counted
+                hits += counted - missed
+                misses += missed
+                hit_ns += per_op * (counted - missed)
+                miss_ns += per_op * missed
+                latencies.extend([elapsed] * counted)
+    finally:
+        if close is not None:
+            close()
+    stats.hits, stats.misses = hits, misses
+    stats.hit_ns, stats.miss_ns = hit_ns, miss_ns
+    stats.errors = errors
 
 
-def _run_net(frontend: str, host: str, port: int, keys: Sequence[int],
-             value: bytes, stats: _WorkerStats, barrier: threading.Barrier,
-             depth: int, timeout: float = 30.0) -> None:
-    """One socket connection's closed loop: windows of ``depth``
-    pipelined GETs, then pipelined SETs for the misses.
+def _key_rounds(service, value: Any, keys: Sequence):
+    """Per-key read-through round adapter (windows of one key)."""
+    get = service.get
+    set_ = service.set
 
-    Window accounting matches :func:`_charge_batch` (per-op latency is
-    the window latency).  Error replies inside a window count in
-    ``errors`` without charging latency; a dead connection charges the
-    whole window to ``errors`` and reconnects for the next one, so an
-    injected ``conn-reset`` shows up as a blip, not a dead thread.
+    def round_(lo, hi):
+        key = keys[lo]
+        if get(key) is None:
+            set_(key, value)
+            return 1, 0
+        return 0, 0
+
+    return round_, WorkerCrashedError, None
+
+
+def _many_rounds(service, value: Any, keys: Sequence):
+    """Batched read-through: ``get_many``, then one ``set_many``."""
+    get_many = service.get_many
+    set_many = service.set_many
+
+    def round_(lo, hi):
+        window = keys[lo:hi]
+        missed = [k for k, v in zip(window, get_many(window)) if v is None]
+        if missed:
+            set_many([(k, value) for k in missed])
+        return len(missed), 0
+
+    return round_, WorkerCrashedError, None
+
+
+def _wire_rounds(frontend: str, host: str, port: int, value: bytes,
+                 keys: Sequence[str], timeout: float = 30.0):
+    """Pipelined read-through over one RESP or memcached connection.
+
+    ``keys`` are already strings.  A lost window closes the
+    connection; the next window reconnects first (inside its latency),
+    so an injected ``conn-reset`` shows up as a blip, not a dead
+    driver.
     """
     from repro.netsrv.client import McClient, McError, RespClient, RespError
 
-    def connect():
-        if frontend == "resp":
-            return RespClient(host, port, timeout=timeout)
-        return McClient(host, port, timeout=timeout)
-
+    client_cls = RespClient if frontend == "resp" else McClient
+    lost = (ConnectionError, OSError, McError)
     try:
-        client = connect()
+        client = client_cls(host, port, timeout=timeout)
     except OSError:
         client = None
-    record = stats.latencies_ns.append
-    clock = time.perf_counter_ns
-    barrier.wait()
-    for start in range(0, len(keys), depth):
-        window = [str(k) for k in keys[start:start + depth]]
+
+    def serve(window):
+        if frontend == "resp":
+            replies = client.pipeline([("GET", k) for k in window])
+            missed = [k for k, r in zip(window, replies) if r is None]
+            failed = sum(isinstance(r, RespError) for r in replies)
+            if missed:
+                stored = client.pipeline([("SET", k, value) for k in missed])
+                failed += sum(isinstance(r, RespError) for r in stored)
+            return len(missed), failed
+        found = client.get_many(window)
+        missed = [k for k in window if k not in found]
+        if missed:
+            client.set_many([(k, value) for k in missed])
+        return len(missed), 0
+
+    def round_(lo, hi):
+        nonlocal client
         if client is None:
-            try:
-                client = connect()
-            except OSError:
-                stats.errors += len(window)
-                continue
-        t0 = clock()
+            client = client_cls(host, port, timeout=timeout)
         try:
-            if frontend == "resp":
-                replies = client.pipeline([("GET", k) for k in window])
-                missed = [k for k, r in zip(window, replies) if r is None]
-                errors = sum(isinstance(r, RespError) for r in replies)
-                if missed:
-                    stored = client.pipeline(
-                        [("SET", k, value) for k in missed]
-                    )
-                    errors += sum(isinstance(r, RespError) for r in stored)
-            else:
-                found = client.get_many(window)
-                missed = [k for k in window if k not in found]
-                errors = 0
-                if missed:
-                    client.set_many([(k, value) for k in missed])
-        except (ConnectionError, OSError, McError):
-            stats.errors += len(window)
+            return serve(keys[lo:hi])
+        except lost:
             client.close()
             client = None
-            continue
-        elapsed = clock() - t0
-        stats.errors += errors
-        counted = len(window) - errors
-        if counted:
-            _charge_batch(stats, counted, min(len(missed), counted),
-                          elapsed, record)
-    if client is not None:
-        client.close()
+            raise
+
+    def close():
+        if client is not None:
+            client.close()
+
+    return round_, lost, close
 
 
 def counters_snapshot(service, t_s: float) -> Dict[str, Any]:
@@ -423,56 +388,6 @@ def build_service(
     return ShardedCacheService(capacity, policy, num_shards=num_shards, **kwargs)
 
 
-def _build_mp_service(
-    capacity: int,
-    policy: str,
-    num_workers: int,
-    start_method: Optional[str],
-    checked: bool,
-    ttl: Optional[float],
-    fault_plans=None,
-    transport: str = "pipe",
-):
-    from repro.service.mp import MPCacheService
-
-    return MPCacheService(
-        capacity,
-        policy,
-        num_workers=num_workers,
-        transport=transport,
-        start_method=start_method,
-        checked=checked,
-        default_ttl=ttl,
-        fault_plans=fault_plans,
-    )
-
-
-def _build_cluster_service(
-    capacity: int,
-    policy: str,
-    num_nodes: int,
-    replication: int,
-    vnodes: int,
-    start_method: Optional[str],
-    checked: bool,
-    ttl: Optional[float],
-    fault_plans=None,
-):
-    from repro.cluster.service import ClusterCacheService
-
-    return ClusterCacheService(
-        capacity,
-        policy,
-        num_nodes=num_nodes,
-        replication=replication,
-        vnodes=vnodes,
-        start_method=start_method,
-        checked=checked,
-        default_ttl=ttl,
-        fault_plans=fault_plans,
-    )
-
-
 def run_scenario(
     trace: Sequence[int],
     capacity: int,
@@ -519,9 +434,9 @@ def run_scenario(
     ``num_shards`` node processes, ``replication`` copies per key, and
     ``vnodes`` ring points per node.  ``fault_plans`` injects
     deterministic worker crashes on either process backend;
-    ``batch_size > 1`` switches any backend to the batched
-    read-through loop (see the module docstring for its latency and
-    accounting conventions).
+    ``batch_size > 1`` switches any backend from the per-key to the
+    batched round adapter (see the module docstring for the window
+    latency and accounting conventions every adapter shares).
 
     ``transport`` selects the mp backend's parent<->worker channel
     (``"pipe"`` or ``"shm"``); the other backends have no transport
@@ -534,16 +449,23 @@ def run_scenario(
     :class:`~repro.netsrv.server.CacheServer` is stood up on an
     ephemeral port and ``connections`` client threads replay the trace
     in closed-loop windows of ``pipeline_depth`` pipelined commands.
-    The socket path reuses the batch accounting conventions (window
-    latency per op) and is closed-loop only; ``num_threads``,
+    The socket adapter is closed-loop only; ``num_threads``,
     ``batch_size``, ``mode="open"``, and the in-process hooks
     (``metrics``/``tracer``/``instrument_policy``) don't apply and
     must stay at their defaults.
     """
+    # Every argument is checked before anything (processes, a server
+    # thread) is acquired, so a rejected call leaks nothing.
     if mode not in ("closed", "open"):
         raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
+    if mode == "open" and open_rate <= 0:
+        raise ValueError(f"open_rate must be positive, got {open_rate}")
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
+    if snapshot_interval_s is not None and snapshot_interval_s <= 0:
+        raise ValueError(
+            f"snapshot_interval_s must be positive, got {snapshot_interval_s}"
+        )
     if frontend not in ("inproc", "resp", "memcached"):
         raise ValueError(
             f"frontend must be 'inproc', 'resp', or 'memcached', "
@@ -588,133 +510,125 @@ def run_scenario(
             f"transport={transport!r} requires backend='mp' "
             f"(got backend={backend!r})"
         )
-    if backend in ("mp", "cluster"):
-        if metrics is not None or tracer is not None or instrument_policy:
-            raise ValueError(
-                "metrics/tracer/instrument_policy are in-process hooks and "
-                "cannot cross process boundaries; the mp backend exposes "
-                "MPCacheService.merge_metrics() instead"
-            )
-        if backend == "mp":
-            service = _build_mp_service(
-                capacity, policy, num_shards, start_method, checked, ttl,
-                fault_plans, transport,
-            )
-        else:
-            service = _build_cluster_service(
-                capacity, policy, num_shards, replication, vnodes,
-                start_method, checked, ttl, fault_plans,
-            )
-    else:
-        service = build_service(
-            capacity, policy, num_shards,
-            checked=checked,
-            default_ttl=ttl,
-            metrics=metrics,
-            tracer=tracer,
-            instrument_policy=instrument_policy,
+    if backend != "thread" and (
+            metrics is not None or tracer is not None or instrument_policy):
+        raise ValueError(
+            "metrics/tracer/instrument_policy are in-process hooks and "
+            "cannot cross process boundaries; the mp backend exposes "
+            "MPCacheService.merge_metrics() instead"
         )
-    drivers = connections if frontend != "inproc" else num_threads
+    wire = frontend != "inproc"
+    drivers = connections if wire else num_threads
     per_thread = len(trace) // drivers
     slices = [
         trace[i * per_thread:(i + 1) * per_thread] for i in range(drivers)
     ]
+    width = pipeline_depth if wire else batch_size
+    interval_ns = max(1, int(1e9 / open_rate)) if mode == "open" else 0
     stats = [_WorkerStats() for _ in range(drivers)]
     barrier = threading.Barrier(drivers + 1)
-    net_server = None
-    if frontend != "inproc":
-        from repro.netsrv.server import ServerThread
+    intervals: List[Dict[str, Any]] = []
+    service = net_server = None
+    try:
+        if backend == "mp":
+            from repro.service.mp import MPCacheService
 
-        port_kw = ({"resp_port": 0} if frontend == "resp"
-                   else {"memcached_port": 0})
-        net_server = ServerThread(
-            service, max_connections=connections + 1, **port_kw
-        ).start()
-        port = (net_server.resp_port if frontend == "resp"
-                else net_server.memcached_port)
-        wire_value = (value if isinstance(value, bytes)
-                      else str(value).encode())
+            service = MPCacheService(
+                capacity, policy, num_workers=num_shards,
+                transport=transport, start_method=start_method,
+                checked=checked, default_ttl=ttl, fault_plans=fault_plans,
+            )
+        elif backend == "cluster":
+            from repro.cluster.service import ClusterCacheService
+
+            service = ClusterCacheService(
+                capacity, policy, num_nodes=num_shards,
+                replication=replication, vnodes=vnodes,
+                start_method=start_method, checked=checked,
+                default_ttl=ttl, fault_plans=fault_plans,
+            )
+        else:
+            service = build_service(
+                capacity, policy, num_shards,
+                checked=checked,
+                default_ttl=ttl,
+                metrics=metrics,
+                tracer=tracer,
+                instrument_policy=instrument_policy,
+            )
+        if wire:
+            from repro.netsrv.server import ServerThread
+
+            net_server = ServerThread(
+                service, max_connections=connections + 1,
+                **{f"{frontend}_port": 0},
+            ).start()
+            port = getattr(net_server, f"{frontend}_port")
+            wire_value = (value if isinstance(value, bytes)
+                          else str(value).encode())
+            rounds = [
+                _wire_rounds(frontend, net_server.server.host, port,
+                             wire_value, [str(k) for k in s])
+                for s in slices
+            ]
+        else:
+            adapter = _many_rounds if batch_size > 1 else _key_rounds
+            rounds = [adapter(service, value, s) for s in slices]
         workers = [
             threading.Thread(
-                target=_run_net,
-                args=(frontend, net_server.server.host, port, s,
-                      wire_value, st, barrier, pipeline_depth),
+                target=_drive,
+                args=(r, per_thread, width, interval_ns, st, barrier),
                 name=f"loadgen-{i}", daemon=True,
             )
-            for i, (s, st) in enumerate(zip(slices, stats))
+            for i, (r, st) in enumerate(zip(rounds, stats))
         ]
-    elif mode == "closed":
-        if batch_size > 1:
-            thread_args = [
-                (service, s, value, st, barrier, batch_size)
-                for s, st in zip(slices, stats)
-            ]
-            target = _run_closed_batched
-        else:
-            thread_args = [
-                (service, s, value, st, barrier)
-                for s, st in zip(slices, stats)
-            ]
-            target = _run_closed
-        workers = [
-            threading.Thread(
-                target=target, args=args, name=f"loadgen-{i}", daemon=True,
+        monitor = stop_monitor = None
+        if snapshot_interval_s is not None:
+            stop_monitor = threading.Event()
+            monitor = threading.Thread(
+                target=_interval_monitor,
+                args=(service, stop_monitor, snapshot_interval_s, intervals),
+                name="loadgen-monitor", daemon=True,
             )
-            for i, args in enumerate(thread_args)
-        ]
-    else:
-        if open_rate <= 0:
-            raise ValueError(f"open_rate must be positive, got {open_rate}")
-        interval_ns = max(1, int(1e9 / open_rate))
-        if batch_size > 1:
-            thread_args = [
-                (service, s, value, st, barrier, interval_ns, batch_size)
-                for s, st in zip(slices, stats)
-            ]
-            target = _run_open_batched
-        else:
-            thread_args = [
-                (service, s, value, st, barrier, interval_ns)
-                for s, st in zip(slices, stats)
-            ]
-            target = _run_open
-        workers = [
-            threading.Thread(
-                target=target, args=args, name=f"loadgen-{i}", daemon=True,
-            )
-            for i, args in enumerate(thread_args)
-        ]
-    intervals: List[Dict[str, Any]] = []
-    monitor = stop_monitor = None
-    if snapshot_interval_s is not None:
-        if snapshot_interval_s <= 0:
-            raise ValueError(
-                f"snapshot_interval_s must be positive, got {snapshot_interval_s}"
-            )
-        stop_monitor = threading.Event()
-        monitor = threading.Thread(
-            target=_interval_monitor,
-            args=(service, stop_monitor, snapshot_interval_s, intervals),
-            name="loadgen-monitor", daemon=True,
-        )
-    for w in workers:
-        w.start()
-    if monitor is not None:
-        monitor.start()
-    barrier.wait()
-    t0 = time.perf_counter()
-    for w in workers:
-        w.join()
-    wall = time.perf_counter() - t0
-    if monitor is not None:
-        stop_monitor.set()
-        monitor.join()
+        for w in workers:
+            w.start()
+        if monitor is not None:
+            monitor.start()
+        barrier.wait()
+        t0 = time.perf_counter()
+        for w in workers:
+            w.join()
+        wall = time.perf_counter() - t0
+        if monitor is not None:
+            stop_monitor.set()
+            monitor.join()
+            try:
+                intervals.append(counters_snapshot(service, wall))
+            except WorkerCrashedError:
+                pass  # the run itself already counted the errors
+        # A crashed mp worker makes the final bookkeeping round-trips
+        # raise too; report what survives instead of losing the row.
         try:
-            intervals.append(counters_snapshot(service, wall))
+            if hasattr(service, "ops_per_shard"):
+                shard_ops = service.ops_per_shard()
+                imbalance = (
+                    round(imbalance_factor(shard_ops), 4)
+                    if num_shards > 1 else 1.0
+                )
+            else:
+                shard_ops = [service.counters.gets + service.counters.sets]
+                imbalance = 1.0
+            service_stats = service.stats()
         except WorkerCrashedError:
-            pass  # the run itself already counted the errors
-    if net_server is not None:
-        net_server.stop()
+            shard_ops = []
+            imbalance = 1.0
+            service_stats = {"evictions": None, "expired": None,
+                             "objects": None}
+    finally:
+        if net_server is not None:
+            net_server.stop()
+        if service is not None and backend != "thread":
+            service.close()
     merged = array("q")
     hits = misses = hit_ns = miss_ns = errors = 0
     for st in stats:
@@ -725,25 +639,6 @@ def run_scenario(
         miss_ns += st.miss_ns
         errors += st.errors
     ops = len(merged)
-    # A crashed mp worker makes the final bookkeeping round-trips
-    # raise too; report what survives instead of losing the row.
-    try:
-        if hasattr(service, "ops_per_shard"):
-            shard_ops = service.ops_per_shard()
-            imbalance = (
-                round(imbalance_factor(shard_ops), 4)
-                if num_shards > 1 else 1.0
-            )
-        else:
-            shard_ops = [service.counters.gets + service.counters.sets]
-            imbalance = 1.0
-        service_stats = service.stats()
-    except WorkerCrashedError:
-        shard_ops = []
-        imbalance = 1.0
-        service_stats = {"evictions": None, "expired": None, "objects": None}
-    if backend in ("mp", "cluster"):
-        service.close()
     row = {
         "shards": num_shards,
         "threads": drivers,
@@ -819,70 +714,33 @@ def run_loadgen(
     worker-process count; to compare backends in one document, run
     this once per backend and join with :func:`combine_reports`.
     """
-    from repro.traces.synthetic import zipf_trace
-
-    trace = zipf_trace(
+    return _sweep_report(
+        [dict(num_shards=shards, num_threads=threads)
+         for shards in shard_counts for threads in thread_counts],
+        dict(mode=mode, open_rate=open_rate if mode == "open" else None,
+             batch_size=batch_size, frontend="inproc", connections=0,
+             pipeline_depth=0),
         num_objects=num_objects,
         num_requests=num_requests,
         alpha=alpha,
+        cache_ratio=cache_ratio,
         seed=seed,
+        policy=policy,
+        mode=mode,
+        open_rate=open_rate,
+        checked=checked,
+        ttl=ttl,
+        metrics=metrics,
+        tracer=tracer,
+        instrument_policy=instrument_policy,
+        snapshot_interval_s=snapshot_interval_s,
+        backend=backend,
+        batch_size=batch_size,
+        transport=transport,
+        start_method=start_method,
+        replication=replication,
+        vnodes=vnodes,
     )
-    capacity = max(1, int(num_objects * cache_ratio))
-    scenarios: List[Dict[str, Any]] = []
-    for shards in shard_counts:
-        for threads in thread_counts:
-            scenarios.append(
-                run_scenario(
-                    trace,
-                    capacity=capacity,
-                    policy=policy,
-                    num_shards=shards,
-                    num_threads=threads,
-                    mode=mode,
-                    open_rate=open_rate,
-                    checked=checked,
-                    ttl=ttl,
-                    metrics=metrics,
-                    tracer=tracer,
-                    instrument_policy=instrument_policy,
-                    snapshot_interval_s=snapshot_interval_s,
-                    backend=backend,
-                    batch_size=batch_size,
-                    transport=transport,
-                    start_method=start_method,
-                    replication=replication,
-                    vnodes=vnodes,
-                )
-            )
-    from repro.perf.bench import env_block
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": REPORT_KIND,
-        "env": env_block(),
-        "config": {
-            "num_objects": num_objects,
-            "num_requests": num_requests,
-            "alpha": alpha,
-            "cache_ratio": cache_ratio,
-            "capacity": capacity,
-            "seed": seed,
-            "policy": policy,
-            "mode": mode,
-            "open_rate": open_rate if mode == "open" else None,
-            "checked": checked,
-            "ttl": ttl,
-            "backend": backend,
-            "batch_size": batch_size,
-            "transport": _row_transport(backend, transport),
-            "frontend": "inproc",
-            "connections": 0,
-            "pipeline_depth": 0,
-            **({"replication": replication, "vnodes": vnodes}
-               if backend == "cluster" else {}),
-        },
-        "scenarios": scenarios,
-    }
 
 
 def run_net_loadgen(
@@ -913,6 +771,44 @@ def run_net_loadgen(
     number the ``net_frontier`` experiment reports.  Join with
     in-process reports via :func:`combine_reports`.
     """
+    return _sweep_report(
+        [dict(frontend=frontend, connections=conns, pipeline_depth=depth)
+         for frontend in frontends for conns in connection_counts
+         for depth in pipeline_depths],
+        dict(mode="closed", open_rate=None, batch_size=1,
+             frontend=list(frontends), connections=list(connection_counts),
+             pipeline_depth=list(pipeline_depths)),
+        num_objects=num_objects,
+        num_requests=num_requests,
+        alpha=alpha,
+        cache_ratio=cache_ratio,
+        seed=seed,
+        policy=policy,
+        num_shards=num_shards,
+        checked=checked,
+        ttl=ttl,
+        backend=backend,
+        transport=transport,
+        start_method=start_method,
+        replication=replication,
+        vnodes=vnodes,
+    )
+
+
+def _sweep_report(
+    axes: Sequence[Dict[str, Any]],
+    axes_config: Dict[str, Any],
+    num_objects: int,
+    num_requests: int,
+    alpha: float,
+    cache_ratio: float,
+    seed: int,
+    **common: Any,
+) -> Dict[str, Any]:
+    """Replay one seeded Zipf trace once per ``axes`` entry (each
+    merged over the ``common`` :func:`run_scenario` arguments) and wrap
+    the rows in a report; ``axes_config`` records the driving axes."""
+    from repro.perf.bench import env_block
     from repro.traces.synthetic import zipf_trace
 
     trace = zipf_trace(
@@ -922,30 +818,11 @@ def run_net_loadgen(
         seed=seed,
     )
     capacity = max(1, int(num_objects * cache_ratio))
-    scenarios: List[Dict[str, Any]] = []
-    for frontend in frontends:
-        for conns in connection_counts:
-            for depth in pipeline_depths:
-                scenarios.append(
-                    run_scenario(
-                        trace,
-                        capacity=capacity,
-                        policy=policy,
-                        num_shards=num_shards,
-                        checked=checked,
-                        ttl=ttl,
-                        backend=backend,
-                        transport=transport,
-                        start_method=start_method,
-                        replication=replication,
-                        vnodes=vnodes,
-                        frontend=frontend,
-                        connections=conns,
-                        pipeline_depth=depth,
-                    )
-                )
-    from repro.perf.bench import env_block
-
+    scenarios = [
+        run_scenario(trace, capacity=capacity, **common, **axis)
+        for axis in axes
+    ]
+    backend = common["backend"]
     return {
         "schema": SCHEMA_VERSION,
         "kind": REPORT_KIND,
@@ -957,18 +834,14 @@ def run_net_loadgen(
             "cache_ratio": cache_ratio,
             "capacity": capacity,
             "seed": seed,
-            "policy": policy,
-            "mode": "closed",
-            "open_rate": None,
-            "checked": checked,
-            "ttl": ttl,
+            "policy": common["policy"],
+            "checked": common["checked"],
+            "ttl": common["ttl"],
             "backend": backend,
-            "batch_size": 1,
-            "transport": _row_transport(backend, transport),
-            "frontend": list(frontends),
-            "connections": list(connection_counts),
-            "pipeline_depth": list(pipeline_depths),
-            **({"replication": replication, "vnodes": vnodes}
+            "transport": _row_transport(backend, common["transport"]),
+            **axes_config,
+            **({"replication": common["replication"],
+                "vnodes": common["vnodes"]}
                if backend == "cluster" else {}),
         },
         "scenarios": scenarios,
@@ -1033,8 +906,7 @@ def combine_reports(
     config = dict(reports[0]["config"])
     config["backend"] = [r["config"]["backend"] for r in reports]
     config["transport"] = [r["config"]["transport"] for r in reports]
-    config["frontend"] = [r["config"].get("frontend", "inproc")
-                          for r in reports]
+    config["frontend"] = [r["config"]["frontend"] for r in reports]
     return {
         "schema": SCHEMA_VERSION,
         "kind": REPORT_KIND,
@@ -1061,14 +933,14 @@ def format_report(report: Dict[str, Any]) -> str:
     for row in report["scenarios"]:
         lat = row["latency_us"]
         lines.append(
-            f"{row.get('backend', 'thread'):>7} "
-            f"{row.get('transport', 'inproc'):>6} "
-            f"{row.get('frontend', 'inproc'):>9} "
+            f"{row['backend']:>7} "
+            f"{row['transport']:>6} "
+            f"{row['frontend']:>9} "
             f"{row['shards']:>6} {row['threads']:>7} "
-            f"{row.get('batch_size', 1):>5} "
-            f"{row.get('pipeline_depth', 0):>6} "
+            f"{row['batch_size']:>5} "
+            f"{row['pipeline_depth']:>6} "
             f"{row['ops_per_sec']:>10,} {row['hit_ratio']:>7.4f} "
-            f"{row.get('error_rate', 0.0):>7.4f} "
+            f"{row['error_rate']:>7.4f} "
             f"{lat['p50']:>8.1f} {lat['p99']:>8.1f} {lat['p999']:>8.1f} "
             f"{row['imbalance']:>6.2f}"
         )
@@ -1090,33 +962,19 @@ def find_scenario(
 
     ``backend`` / ``batch_size`` / ``transport`` / ``frontend`` /
     ``connections`` / ``pipeline_depth`` of ``None`` match any row.
-    Rows predating a field read as its historical value: thread/1
-    (schema 1), for ``transport`` (schema 2) whatever
-    :func:`_row_transport` says the row's backend used, and for the
-    schema-4 socket axes ``inproc``/0/0.
     """
+    wanted = {
+        field: value for field, value in (
+            ("backend", backend),
+            ("batch_size", batch_size),
+            ("transport", transport),
+            ("frontend", frontend),
+            ("connections", connections),
+            ("pipeline_depth", pipeline_depth),
+        ) if value is not None
+    }
     for row in report["scenarios"]:
-        if row["shards"] != shards or row["threads"] != threads:
-            continue
-        row_backend = row.get("backend", "thread")
-        if backend is not None and row_backend != backend:
-            continue
-        if (batch_size is not None
-                and row.get("batch_size", 1) != batch_size):
-            continue
-        if transport is not None:
-            row_tp = row.get("transport",
-                             _row_transport(row_backend, "pipe"))
-            if row_tp != transport:
-                continue
-        if (frontend is not None
-                and row.get("frontend", "inproc") != frontend):
-            continue
-        if (connections is not None
-                and row.get("connections", 0) != connections):
-            continue
-        if (pipeline_depth is not None
-                and row.get("pipeline_depth", 0) != pipeline_depth):
-            continue
-        return row
+        if (row["shards"] == shards and row["threads"] == threads
+                and all(row[f] == v for f, v in wanted.items())):
+            return row
     return None

@@ -296,3 +296,103 @@ class TestSections:
         by_label = {r["ablation"]: r["mean_reduction"] for r in rows}
         assert len(by_label) == 2
         assert all(v > 0 for v in by_label.values())
+
+
+class TestFrontier:
+    """The one frontier harness: series specs in, one row per (series,
+    cache size) out, for in-process and socket series alike."""
+
+    SERIES = (
+        ("thread inproc", "T", {}),
+        ("resp p8", "R",
+         {"frontend": "resp", "connections": 1, "pipeline_depth": 8}),
+    )
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.experiments import frontier
+
+        return frontier.run(cache_ratios=(0.02, 0.2), scale=0.05, seed=42,
+                            series=self.SERIES)
+
+    def test_hit_ratio_rises_with_capacity(self, rows):
+        assert [r["series"] for r in rows] == [
+            "thread inproc", "thread inproc", "resp p8", "resp p8"]
+        for label in ("thread inproc", "resp p8"):
+            small, big = [r for r in rows if r["series"] == label]
+            assert small["capacity"] < big["capacity"]
+            assert big["hit_ratio"] > small["hit_ratio"]
+            assert small["kops"] > 0 and big["kops"] > 0
+        assert {r["frontend"] for r in rows} == {"inproc", "resp"}
+
+    def test_table_and_chart(self, rows):
+        from repro.experiments import frontier
+
+        assert "resp p8" in frontier.format_table(rows)
+        chart = frontier.format_chart(rows)
+        assert "T = thread inproc" in chart and "R = resp p8" in chart
+
+    @pytest.mark.parametrize("name", ["frontier", "net-frontier"])
+    def test_cli_dispatches_to_the_harness(self, name, monkeypatch,
+                                           capsys):
+        """Both experiment names reach frontier.run through
+        repro.cli.EXPERIMENTS, each with its own series set."""
+        import importlib
+
+        from repro.cli import EXPERIMENTS, main
+        from repro.experiments import frontier
+
+        module = importlib.import_module(EXPERIMENTS[name])
+        expected = module.DEFAULT_SERIES
+        seen = []
+
+        def fake_scenario(trace, capacity, **kwargs):
+            seen.append(kwargs)
+            return {"backend": "thread", "transport": "inproc",
+                    "frontend": kwargs.get("frontend", "inproc"),
+                    "pipeline_depth": kwargs.get("pipeline_depth", 0),
+                    "hit_ratio": capacity / 10_000, "ops_per_sec": 1e5,
+                    "latency_us": {"p99": 1.0}}
+
+        monkeypatch.setattr(frontier, "run_scenario", fake_scenario)
+        assert main(["experiment", name, "--scale", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert seen == [kwargs for _, _, kwargs in expected
+                        for _ in frontier.DEFAULT_RATIOS]
+        for label, _, _ in expected:
+            assert label in out
+
+
+class TestFig08Native:
+    def test_full_report_measures_s3fifo_sweep_once(self, monkeypatch):
+        """The workers-axis calibration reuses the s3fifo mp sweep
+        behind the curves instead of measuring it again."""
+        from repro.experiments import fig08_native
+
+        calls = []
+
+        def fake_loadgen(shard_counts, thread_counts, policy,
+                         backend="thread", batch_size=1, **workload):
+            calls.append((policy, backend, tuple(shard_counts),
+                          tuple(thread_counts), batch_size))
+            scenarios = [
+                {"shards": s, "threads": t, "backend": backend,
+                 "frontend": "inproc", "transport": "pipe",
+                 "batch_size": batch_size,
+                 "ops_per_sec": 1e5 * s * t, "hit_ratio": 0.8,
+                 "hit_ns_mean": 2000, "miss_ns_mean": 5000,
+                 "latency_us": {"p99": 10.0}}
+                for s in shard_counts for t in thread_counts
+            ]
+            return {"config": {"policy": policy}, "scenarios": scenarios}
+
+        monkeypatch.setattr(fig08_native, "run_loadgen", fake_loadgen)
+        text = fig08_native.full_report()
+        sweep = ("s3fifo", "mp", fig08_native.DEFAULT_WORKERS, (1,),
+                 fig08_native.DEFAULT_BATCH)
+        assert calls.count(sweep) == 1
+        assert "workers-axis calibration: parallel_fraction=1.0" in text
+        rows = fig08_native.run()
+        assert [r["config"] for r in rows] == [
+            "s3fifo mp b=64", "lru mp b=64", "lru thread global-lock"]
+        assert all(r["n1"] == 0.1 and r["speedup"] == 4.0 for r in rows)

@@ -144,6 +144,56 @@ class TestReportSchema:
                          instrument_policy=True)
 
 
+class TestOneDriver:
+    """Every pacing x round-adapter combination runs the same driver
+    loop, so on one driver (one thread or one connection) the charged
+    hits and misses depend only on the window width."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.traces.synthetic import zipf_trace
+
+        return zipf_trace(num_objects=500, num_requests=4000, alpha=1.0,
+                          seed=7)
+
+    @pytest.mark.parametrize("kwargs, hits, misses", [
+        ({}, 2410, 1590),
+        ({"mode": "open", "open_rate": 1e6}, 2410, 1590),
+        ({"batch_size": 1}, 2410, 1590),
+        ({"frontend": "resp", "pipeline_depth": 1}, 2410, 1590),
+        ({"frontend": "memcached", "pipeline_depth": 1}, 2410, 1590),
+        ({"batch_size": 8}, 2405, 1595),
+        ({"mode": "open", "open_rate": 1e6, "batch_size": 8}, 2405, 1595),
+        ({"frontend": "resp", "pipeline_depth": 8}, 2405, 1595),
+        ({"frontend": "memcached", "pipeline_depth": 8}, 2405, 1595),
+    ], ids=["closed-key", "open-key", "batch1", "resp1", "memcached1",
+            "batch8", "open-batch8", "resp8", "memcached8"])
+    def test_single_driver_counts_pinned(self, trace, kwargs, hits, misses):
+        row = run_scenario(trace, capacity=50, **kwargs)
+        assert (row["hits"], row["misses"], row["errors"]) == (
+            hits, misses, 0)
+        assert row["ops"] == 4000
+        assert row["threads"] == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"frontend": "resp", "snapshot_interval_s": -1},
+        {"frontend": "memcached", "snapshot_interval_s": 0},
+        {"backend": "mp", "mode": "open", "open_rate": 0},
+        {"backend": "mp", "snapshot_interval_s": 0},
+    ], ids=["resp-interval", "memcached-interval", "mp-rate", "mp-interval"])
+    def test_rejected_arguments_leak_nothing(self, kwargs):
+        """Arguments are checked before the backend or the server
+        thread exists: a rejected call leaves no netsrv thread and no
+        worker process behind."""
+        import multiprocessing
+
+        with pytest.raises(ValueError):
+            run_scenario(list(range(100)), capacity=10, **kwargs)
+        assert not any(t.name == "netsrv" and t.is_alive()
+                       for t in threading.enumerate())
+        assert multiprocessing.active_children() == []
+
+
 class TestBatchedRows:
     def test_batched_thread_rows_report_batch_size(self):
         report = tiny_report(
@@ -238,31 +288,25 @@ class TestCombineReports:
             combine_reports([current, stale], sources=["only-one.json"])
 
     def test_find_scenario_transport_filter(self):
-        """Transport filtering, including the legacy default: rows
-        predating the field read as the transport their backend used
-        (mp => pipe, thread => inproc)."""
-        def row(backend, transport=None):
-            r = {"shards": 1, "threads": 1, "backend": backend,
-                 "batch_size": 1, "ops_per_sec": 1.0}
-            if transport is not None:
-                r["transport"] = transport
-            return r
+        """Transport filtering on schema-4 rows."""
+        def row(backend, transport):
+            return {"shards": 1, "threads": 1, "backend": backend,
+                    "batch_size": 1, "transport": transport,
+                    "frontend": "inproc", "connections": 0,
+                    "pipeline_depth": 0, "ops_per_sec": 1.0}
 
         report = {
             "schema": SCHEMA_VERSION, "kind": REPORT_KIND, "config": {},
             "scenarios": [
                 row("mp", "shm"),
                 row("mp", "pipe"),
-                row("mp"),          # legacy schema-2 row: reads as pipe
-                row("thread"),      # legacy row: reads as inproc
+                row("mp", "pipe"),
+                row("thread", "inproc"),
             ],
         }
         assert find_scenario(report, 1, 1, transport="shm")["transport"] == "shm"
         pipe = find_scenario(report, 1, 1, backend="mp", transport="pipe")
         assert pipe["transport"] == "pipe"
-        legacy = find_scenario(report, 1, 1, backend="thread",
-                               transport="inproc")
-        assert legacy is not None and "transport" not in legacy
         assert find_scenario(report, 1, 1, transport="rdma") is None
 
 
@@ -297,19 +341,18 @@ class TestNetRows:
         assert row["connections"] == 0 and row["pipeline_depth"] == 0
 
     def test_find_scenario_net_filters(self):
-        def row(frontend=None, connections=None, depth=None):
-            r = {"shards": 1, "threads": 1, "backend": "thread"}
-            if frontend is not None:
-                r.update(frontend=frontend, connections=connections,
-                         pipeline_depth=depth)
-            return r
+        def row(frontend="inproc", connections=0, depth=0):
+            return {"shards": 1, "threads": 1, "backend": "thread",
+                    "batch_size": 1, "transport": "inproc",
+                    "frontend": frontend, "connections": connections,
+                    "pipeline_depth": depth}
 
         report = {
             "schema": SCHEMA_VERSION, "kind": REPORT_KIND, "config": {},
             "scenarios": [
                 row("resp", 4, 16),
                 row("memcached", 4, 1),
-                row(),  # legacy schema-3 row: reads as inproc/0/0
+                row(),
             ],
         }
         hit = find_scenario(report, 1, 1, frontend="resp",
@@ -317,9 +360,6 @@ class TestNetRows:
         assert hit is not None and hit["frontend"] == "resp"
         assert find_scenario(report, 1, 1, frontend="resp",
                              pipeline_depth=1) is None
-        legacy = find_scenario(report, 1, 1, frontend="inproc",
-                               connections=0, pipeline_depth=0)
-        assert legacy is not None and "frontend" not in legacy
 
     def test_socket_frontend_validation(self):
         with pytest.raises(ValueError):
@@ -350,7 +390,11 @@ class TestNetRows:
         def row(threads, frontend="inproc", ops_per_sec=100_000):
             return {
                 "shards": 1, "threads": threads, "backend": "thread",
-                "frontend": frontend, "ops_per_sec": ops_per_sec,
+                "workers": 0, "transport": "inproc",
+                "frontend": frontend,
+                "connections": 0 if frontend == "inproc" else threads,
+                "pipeline_depth": 0 if frontend == "inproc" else 1,
+                "ops_per_sec": ops_per_sec,
                 "hit_ratio": 0.8, "hit_ns_mean": 2000,
                 "miss_ns_mean": 5000, "batch_size": 1,
             }
@@ -461,19 +505,22 @@ class TestCalibration:
 
     @staticmethod
     def synthetic_mp_report(mqps_1w=0.1, mqps_4w=0.3):
-        """A hand-built schema-2 report with a workers-axis pair, so
-        the calibration unit tests need no real worker processes."""
+        """A hand-built report with a workers-axis pair, so the
+        calibration unit tests need no real worker processes."""
         def row(shards, threads, backend, ops_per_sec, batch_size=64):
             return {
                 "shards": shards, "threads": threads, "backend": backend,
                 "workers": shards if backend == "mp" else 0,
                 "batch_size": batch_size if backend == "mp" else 1,
+                "transport": "pipe" if backend == "mp" else "inproc",
+                "frontend": "inproc", "connections": 0,
+                "pipeline_depth": 0,
                 "ops_per_sec": ops_per_sec, "hit_ratio": 0.8,
                 "hit_ns_mean": 2000, "miss_ns_mean": 5000,
             }
 
         return {
-            "schema": 2, "kind": REPORT_KIND,
+            "schema": SCHEMA_VERSION, "kind": REPORT_KIND,
             "config": {"policy": "s3fifo"},
             "scenarios": [
                 row(1, 1, "thread", 300_000),
