@@ -27,15 +27,18 @@ def test_perf_bench_full():
         cache_ratio=0.1,
         seed=42,
     )
-    # The vector guard (test_vector_guard.py) owns the "vector"
-    # section; keep whichever run wrote it last, regardless of order.
+    # The vector guards (test_vector_guard.py) own the "vector" and
+    # "auto_sweep" sections; keep whichever run wrote them last,
+    # regardless of order.
     if RESULTS_PATH.is_file():
         try:
             prior = json.loads(RESULTS_PATH.read_text())
         except ValueError:
             prior = {}
-        if isinstance(prior, dict) and "vector" in prior:
-            report["vector"] = prior["vector"]
+        if isinstance(prior, dict):
+            for name in ("vector", "auto_sweep"):
+                if name in prior:
+                    report[name] = prior[name]
     write_report(report, RESULTS_PATH)
     by_name = {
         (row["policy"], row["impl"]): row for row in report["results"]

@@ -9,20 +9,31 @@ scalar compiled-trace paths that were themselves the previous perf
 tentpole.  Both engines are timed best-of-3 because single-shot walls
 on small shared machines carry more noise than the asserted margin.
 
+The auto guard holds ``engine="auto"`` to the better of the two fixed
+engines over a Zipf skew sweep (α 0.6-1.4, hit ratio ≈0.3-0.97) for
+``fifo-fast``, ``sieve-fast`` and ``s3fifo-fast``: at every point it
+must reach :data:`~repro.perf.bench.AUTO_FLOOR` (0.95x) of the faster
+of ``scalar`` and ``vector``.  The engines run interleaved, and the
+ratio is the median over rounds of the same round's CPU times (see
+:func:`~repro.perf.bench.run_auto_sweep`).  Both guards are
+single-process and never skip, whatever the CPU count.
+
 Merges its measurements into ``benchmarks/results/BENCH_perf.json``
-as the ``"vector"`` section (test_perf_bench.py owns the rest).
+as the ``"vector"`` and ``"auto_sweep"`` sections (test_perf_bench.py
+owns the rest).
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.perf.bench import (
+    AUTO_FLOOR,
     VECTOR_BENCH_TARGETS,
-    env_block,
+    format_auto_sweep,
+    merge_section,
+    run_auto_sweep,
     run_vector_bench,
-    write_report,
 )
 
 RESULTS_PATH = Path(__file__).parent.parent / "results" / "BENCH_perf.json"
@@ -39,19 +50,7 @@ def test_vector_engine_guard():
         repeats=3,
     )
 
-    # Attach to the canonical report if the full bench already wrote
-    # one; otherwise start a stub so the section is never lost.
-    if RESULTS_PATH.is_file():
-        try:
-            report = json.loads(RESULTS_PATH.read_text())
-        except ValueError:
-            report = {}
-    else:
-        report = {}
-    if not isinstance(report, dict) or "results" not in report:
-        report = {"env": env_block()}
-    report["vector"] = section
-    write_report(report, RESULTS_PATH)
+    merge_section(RESULTS_PATH, "vector", section)
 
     # The workload must actually exercise lazy promotion: the guard
     # is a claim about hit-run dominance, not about miss-heavy traces.
@@ -69,3 +68,27 @@ def test_vector_engine_guard():
             f"(target {target:.1f}x); walls: "
             f"{[r['all_walls_s'] for r in section['results'] if r['policy'] == name]}"
         )
+
+
+@pytest.mark.perf
+def test_auto_engine_sweep():
+    section = run_auto_sweep()
+    merge_section(RESULTS_PATH, "auto_sweep", section)
+    print(format_auto_sweep(section))
+    slow = [
+        (row["alpha"], row["policy"], row["auto_vs_best"])
+        for row in section["rows"]
+        if row["auto_vs_best"] < AUTO_FLOOR
+    ]
+    assert not slow, (
+        f"engine='auto' is below {AUTO_FLOOR}x the better engine at "
+        f"(alpha, policy, ratio) {slow}"
+    )
+    # The sweep must span both regimes: the batch loop carries the
+    # miss-heavy end and hit runs carry the hit-heavy end.
+    by_alpha = {}
+    for row in section["rows"]:
+        by_alpha.setdefault(row["alpha"], []).append(row)
+    low, high = min(by_alpha), max(by_alpha)
+    assert all(row["scalar_share"] > 0.5 for row in by_alpha[low])
+    assert all(row["hit_run_share"] > 0.5 for row in by_alpha[high])

@@ -87,7 +87,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"footprint:      {footprint} objects")
     print(f"cache size:     {capacity}")
     print(f"policy:         {args.policy}")
-    print(f"engine:         {args.engine}")
+    print(f"engine:         {result.engine} (requested {args.engine})")
+    total = result.requests + result.warmup_requests
+    if total:
+        print(
+            f"engine split:   {result.hit_run_requests / total:.1%} hit runs, "
+            f"{result.event_requests / total:.1%} events "
+            f"({result.forced_rechecks} forced), "
+            f"{result.scalar_requests / total:.1%} scalar, "
+            f"{result.handoffs} handoffs"
+        )
     print(f"miss ratio:     {result.miss_ratio:.4f}")
     print(f"evictions:      {result.evictions}")
     return 0
@@ -876,9 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("auto", "scalar", "vector"),
         default="auto",
-        help="compiled-trace engine: auto routes the FIFO family to "
-        "the vectorized hit-run engine, scalar forces the per-request "
-        "paths, vector requires vector eligibility",
+        help="compiled-trace engine: auto runs the FIFO family as "
+        "vectorized hit runs and hands miss-heavy chunks to the "
+        "policy's batch loop, scalar forces the per-request paths, "
+        "vector forces pure hit runs and requires vector eligibility",
     )
 
     exp = sub.add_parser("experiment", help="run a paper experiment")

@@ -24,6 +24,11 @@ high-skew Zipf trace whose hit ratio exceeds 0.9, where lazy promotion
 lets the vector engine consume hit runs wholesale.  Both engines are
 timed best-of-``repeats`` to damp scheduler noise on small machines.
 
+:func:`run_auto_sweep` times ``engine="scalar"``, ``"vector"`` and
+``"auto"`` across a Zipf skew sweep for the three FIFO-family twins,
+so that the per-chunk routing of ``auto`` can be held to the better of
+the two fixed engines at every hit ratio.
+
 ``peak_rss`` is the process high-water RSS (KiB, from ``getrusage``)
 sampled after each measurement.  It is monotone over the process
 lifetime — read later entries as "still fits in this much", not as
@@ -32,10 +37,12 @@ per-policy footprints.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -56,10 +63,22 @@ VECTOR_BENCH_TARGETS: Tuple[Tuple[str, float], ...] = (
     ("s3fifo-fast", 2.0),
 )
 
+#: Zipf skews, twins and engines of :func:`run_auto_sweep`.
+AUTO_SWEEP_ALPHAS: Tuple[float, ...] = (0.6, 0.8, 1.0, 1.2, 1.4)
+AUTO_SWEEP_POLICIES: Tuple[str, ...] = (
+    "fifo-fast", "sieve-fast", "s3fifo-fast",
+)
+SWEEP_ENGINES: Tuple[str, ...] = ("scalar", "vector", "auto")
+
+#: ``engine="auto"`` must reach this share of the better of
+#: ``"scalar"`` and ``"vector"`` at every point of the sweep.
+AUTO_FLOOR = 0.95
+
 #: Bumped when the report layout changes incompatibly.
 #: v2: added ``env`` block, per-pair ``vector`` rows, and the
 #: ``vector`` acceptance-workload section.
-SCHEMA_VERSION = 2
+#: v3: added the ``auto_sweep`` section.
+SCHEMA_VERSION = 3
 
 
 def env_block() -> Dict:
@@ -305,6 +324,157 @@ def run_vector_bench(
     }
 
 
+def run_auto_sweep(
+    alphas: Sequence[float] = AUTO_SWEEP_ALPHAS,
+    policies: Sequence[str] = AUTO_SWEEP_POLICIES,
+    num_objects: int = 100_000,
+    num_requests: int = 500_000,
+    cache_ratio: float = 0.1,
+    seed: int = 42,
+    repeats: int = 5,
+    min_seconds: float = 3.0,
+) -> Dict:
+    """Time every engine on every (Zipf skew, twin) point.
+
+    Engines run interleaved, in alternating order, for at least
+    ``repeats`` rounds and ``min_seconds`` of CPU time per point, timed
+    by ``time.process_time`` (on a shared host, time spent descheduled
+    is not the engine's).  Each engine's throughput is its best round.
+    ``auto_vs_best`` is the median over rounds of the better fixed
+    engine's time over ``auto``'s in the same round: a host that speeds
+    up or slows down for seconds at a time moves all three runs of a
+    round together, while a ratio of best rounds can set two rounds
+    from different phases against each other.  ``auto_vs_best_of_n``
+    is that ratio of best rounds.  Every engine's ``(misses,
+    evictions)`` must equal the scalar engine's.  Each row also carries
+    how ``auto`` split the trace, which explains where it runs hit runs
+    and where it runs the twin's batch loop.
+    """
+    from repro.cache.registry import create_policy
+    from repro.sim.simulator import simulate
+    from repro.sim.vector import CROSSOVER, HYSTERESIS
+
+    capacity = max(1, int(num_objects * cache_ratio))
+    rows: List[Dict] = []
+    for alpha in alphas:
+        compiled = _zipf_compiled(
+            num_objects, num_requests, alpha, seed, f"zipf-{alpha:g}"
+        )
+        compiled.key_ids()
+        compiled.occurrence_index()
+        n = len(compiled)
+        for name in policies:
+            times: Dict[str, List[float]] = {e: [] for e in SWEEP_ENGINES}
+            results = {}
+            spent = 0.0
+            rounds = 0
+            while rounds < repeats or spent < min_seconds:
+                # Alternate the order so no engine always runs first.
+                order = SWEEP_ENGINES[::-1] if rounds % 2 else SWEEP_ENGINES
+                for engine in order:
+                    policy = create_policy(name, capacity=capacity)
+                    gc.collect()
+                    start = time.process_time()
+                    results[engine] = simulate(policy, compiled, engine=engine)
+                    took = time.process_time() - start
+                    times[engine].append(took)
+                    spent += took
+                rounds += 1
+            outcomes = {
+                (r.misses, r.evictions) for r in results.values()
+            }
+            if len(outcomes) != 1:
+                raise AssertionError(
+                    f"{name} engines disagree at zipf {alpha:g}: {results}"
+                )
+            best = {e: min(t) for e, t in times.items()}
+            auto = results["auto"]
+            rows.append({
+                "alpha": alpha,
+                "policy": name,
+                "hit_ratio": round(1.0 - auto.miss_ratio, 6),
+                "rounds": rounds,
+                "best_cpu_s": {e: round(t, 6) for e, t in best.items()},
+                "requests_per_sec": {
+                    e: round(n / t) if t else 0 for e, t in best.items()
+                },
+                "all_cpu_s": {
+                    e: [round(x, 6) for x in t] for e, t in times.items()
+                },
+                "auto_vs_best": round(statistics.median(
+                    min(s, v) / a for s, v, a in zip(
+                        times["scalar"], times["vector"], times["auto"])
+                ), 3),
+                "auto_vs_best_of_n": round(
+                    min(best["scalar"], best["vector"]) / best["auto"], 3
+                ),
+                "auto_engine": auto.engine,
+                "hit_run_share": round(auto.hit_run_requests / n, 4),
+                "event_share": round(auto.event_requests / n, 4),
+                "scalar_share": round(auto.scalar_requests / n, 4),
+                "forced_rechecks": auto.forced_rechecks,
+                "handoffs": auto.handoffs,
+            })
+    return {
+        "env": env_block(),
+        "config": {
+            "num_objects": num_objects,
+            "num_requests": num_requests,
+            "cache_ratio": cache_ratio,
+            "capacity": capacity,
+            "seed": seed,
+            "repeats": repeats,
+            "min_seconds": min_seconds,
+            "timer": "process_time",
+            "crossover": dict(CROSSOVER),
+            "hysteresis": HYSTERESIS,
+        },
+        "floor": AUTO_FLOOR,
+        "rows": rows,
+    }
+
+
+def merge_section(path, name: str, section: Dict) -> Dict:
+    """Store ``section`` under ``name`` in the report at ``path``,
+    keeping every other section; start a stub report when the file is
+    missing or unreadable."""
+    path = Path(path)
+    report: Dict = {}
+    if path.is_file():
+        try:
+            report = json.loads(path.read_text())
+        except ValueError:
+            report = {}
+    if not isinstance(report, dict) or "results" not in report:
+        report = {"env": env_block()}
+    report["schema"] = SCHEMA_VERSION
+    report[name] = section
+    write_report(report, path)
+    return report
+
+
+def format_auto_sweep(section: Dict) -> str:
+    """One line per sweep point: requests/s per engine and auto's split."""
+    lines = [
+        f"{'alpha':>5} {'policy':<12} {'hit':>6} "
+        + " ".join(f"{e + ' req/s':>14}" for e in SWEEP_ENGINES)
+        + f" {'auto/best':>9} {'ran':>6} {'runs':>5} {'events':>6}"
+        f" {'scalar':>6} {'hand':>4}",
+    ]
+    for row in section["rows"]:
+        lines.append(
+            f"{row['alpha']:>5.1f} {row['policy']:<12} "
+            f"{row['hit_ratio']:>6.3f} "
+            + " ".join(
+                f"{row['requests_per_sec'][e]:>14,}" for e in SWEEP_ENGINES
+            )
+            + f" {row['auto_vs_best']:>9.3f} {row['auto_engine']:>6}"
+            f" {row['hit_run_share']:>5.2f} {row['event_share']:>6.2f}"
+            f" {row['scalar_share']:>6.2f} {row['handoffs']:>4}"
+        )
+    return "\n".join(lines)
+
+
 def write_report(report: Dict, out_path) -> Path:
     """Write a benchmark report as JSON, creating parent directories."""
     path = Path(out_path)
@@ -354,4 +524,7 @@ def format_report(report: Dict) -> str:
                 f"(hit ratio {hit:.4f}, target "
                 f"{vector['targets'].get(name, 0):.1f}x)"
             )
+    if report.get("auto_sweep"):
+        lines.append("auto engine sweep (best-of-N CPU time):")
+        lines.append(format_auto_sweep(report["auto_sweep"]))
     return "\n".join(lines)

@@ -17,18 +17,24 @@ engine, so callers only ever need one entry point.
 
 Both accept ``engine=`` selecting how a compiled trace is executed:
 
-* ``"auto"`` (default) — the vectorized hit-run engine
-  (:mod:`repro.sim.vector`) when eligible (FIFO-family policy, fresh
-  and listener-free), else the scalar fast path.
+* ``"auto"`` (default) — for an eligible policy (FIFO family, fresh
+  and listener-free) the vector engine (:mod:`repro.sim.vector`) in
+  its per-chunk mode: chunks whose miss fraction is above the
+  kernel's measured crossover run through the twin's own batch loop,
+  the rest as vectorized hit runs.  Every other policy takes the
+  scalar fast path.
 * ``"scalar"`` — always the per-request loop (batched for ``*-fast``
   policies).
-* ``"vector"`` — the vector engine, raising when ineligible.
+* ``"vector"`` — the pure hit-run engine, raising when ineligible
+  (including on a trace that is not compiled).
 
 The engines are pinned bit-identical on results.  The one observable
 difference: the vector engine computes the result *standalone* and
 never mutates the policy object — its stats, clock, and resident set
 stay untouched.  Callers that inspect or keep driving the policy after
-the run should pass ``engine="scalar"``.
+the run should pass ``engine="scalar"``.  Each result says which
+engine ran and how the trace was split between them (see
+:class:`SimulationResult`).
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ from typing import Iterable, List, Optional, Union
 
 from repro.cache.base import EvictionPolicy
 from repro.sim.request import Request, as_request
+
+#: Values of ``engine=`` accepted by :func:`simulate`.
+ENGINES = ("auto", "scalar", "vector")
 
 
 class SimulationResult:
@@ -47,6 +56,16 @@ class SimulationResult:
     *this run*, ``warmup_evictions`` counts evictions during the
     warmup prefix, and :attr:`total_evictions` is their sum.  Evictions
     a pre-used policy performed before the run are never included.
+
+    How the run executed: ``engine`` is ``"scalar"``, ``"vector"``, or
+    ``"auto"`` when both the vector event loop and the twin's batch
+    loop ran.  Every request of the trace, warmup included, is counted
+    once in exactly one of ``hit_run_requests`` (consumed inside a
+    vectorized hit run), ``event_requests`` (a vector-engine event:
+    a static candidate of its chunk's probe, or one of the
+    ``forced_rechecks``) or ``scalar_requests`` (stepped one by one).
+    ``handoffs`` counts switches between the two loops.  The defaults
+    describe a run that stepped every request.
     """
 
     __slots__ = (
@@ -59,6 +78,12 @@ class SimulationResult:
         "evictions",
         "warmup_requests",
         "warmup_evictions",
+        "engine",
+        "hit_run_requests",
+        "event_requests",
+        "forced_rechecks",
+        "scalar_requests",
+        "handoffs",
     )
 
     def __init__(
@@ -72,6 +97,12 @@ class SimulationResult:
         evictions: int,
         warmup_requests: int = 0,
         warmup_evictions: int = 0,
+        engine: str = "scalar",
+        hit_run_requests: int = 0,
+        event_requests: int = 0,
+        forced_rechecks: int = 0,
+        scalar_requests: Optional[int] = None,
+        handoffs: int = 0,
     ) -> None:
         self.policy_name = policy_name
         self.capacity = capacity
@@ -82,6 +113,15 @@ class SimulationResult:
         self.evictions = evictions
         self.warmup_requests = warmup_requests
         self.warmup_evictions = warmup_evictions
+        self.engine = engine
+        self.hit_run_requests = hit_run_requests
+        self.event_requests = event_requests
+        self.forced_rechecks = forced_rechecks
+        if scalar_requests is None:
+            scalar_requests = (requests + warmup_requests
+                               - hit_run_requests - event_requests)
+        self.scalar_requests = scalar_requests
+        self.handoffs = handoffs
 
     @property
     def hits(self) -> int:
@@ -115,6 +155,10 @@ def _resolve_warmup(
     warmup_requests: Optional[int],
 ) -> int:
     """Turn a fractional or absolute warmup spec into a request count."""
+    if warmup_requests is not None and warmup_requests < 0:
+        raise ValueError(
+            f"warmup_requests must be >= 0, got {warmup_requests}"
+        )
     if warmup and warmup_requests is None:
         if not hasattr(trace, "__len__"):
             raise ValueError("fractional warmup requires a sized trace")
@@ -122,6 +166,13 @@ def _resolve_warmup(
             raise ValueError(f"warmup must be in [0, 1), got {warmup}")
         warmup_requests = int(len(trace) * warmup)
     return warmup_requests or 0
+
+
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be 'auto', 'scalar', or 'vector', got {engine!r}"
+        )
 
 
 def simulate(
@@ -146,13 +197,22 @@ def simulate(
     (post-warmup) evictions only; warmup evictions are reported
     separately as ``result.warmup_evictions`` (see
     :class:`SimulationResult`).
+
+    ``engine`` only chooses between engines on a compiled trace; any
+    other trace streams, and ``engine="vector"`` raises for it.
     """
     from repro.traces.compiled import CompiledTrace
 
+    _check_engine(engine)
     if isinstance(trace, CompiledTrace):
         return simulate_compiled(
             policy, trace, warmup=warmup, warmup_requests=warmup_requests,
             engine=engine,
+        )
+    if engine == "vector":
+        raise ValueError(
+            "engine='vector' needs a CompiledTrace, got "
+            f"{type(trace).__name__} (see repro.traces.compiled)"
         )
 
     warmup_requests = _resolve_warmup(trace, warmup, warmup_requests)
@@ -187,6 +247,7 @@ def simulate(
         evictions=policy.stats.evictions - evictions_at_warmup,
         warmup_requests=warmup_requests,
         warmup_evictions=evictions_at_warmup - evictions_before,
+        scalar_requests=seen,
     )
 
 
@@ -208,12 +269,12 @@ def simulate_compiled(
     """Run ``policy`` over a compiled trace with no per-request allocation.
 
     ``engine="auto"`` routes FIFO-family policies (fresh, no
-    listeners) to the vectorized hit-run engine
-    (:func:`repro.sim.vector.vector_simulate`), which consumes hit runs
-    with dense-array lookups instead of per-request Python; the result
-    is bit-identical but the policy object is left untouched.
-    ``engine="vector"`` forces that path (raising when ineligible);
-    ``engine="scalar"`` forces the classic path below.
+    listeners) to :func:`repro.sim.vector.vector_simulate` in its
+    per-chunk mode: hit-heavy chunks are consumed as vectorized hit
+    runs, miss-heavy ones by the twin's own batch loop; the result is
+    bit-identical but the policy object is left untouched.
+    ``engine="vector"`` forces the pure hit-run engine (raising when
+    ineligible); ``engine="scalar"`` forces the classic path below.
 
     On the scalar path, policies exposing the fast-path batch protocol
     (``run_compiled(trace, start, stop)`` — the ``*-fast`` registry
@@ -224,16 +285,14 @@ def simulate_compiled(
 
     Warmup and eviction-accounting semantics match :func:`simulate`.
     """
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError(
-            f"engine must be 'auto', 'scalar', or 'vector', got {engine!r}"
-        )
+    _check_engine(engine)
     if engine != "scalar":
         from repro.sim.vector import vector_eligible, vector_simulate
 
         if engine == "vector" or vector_eligible(policy, trace):
             return vector_simulate(
-                policy, trace, warmup=warmup, warmup_requests=warmup_requests
+                policy, trace, warmup=warmup, warmup_requests=warmup_requests,
+                auto=engine == "auto",
             )
 
     warmup_requests = _resolve_warmup(trace, warmup, warmup_requests)

@@ -41,6 +41,19 @@ per-*request*):
   already candidates at every occurrence (their mask was 0 at chunk
   start) and re-probe live state in the event loop.
 
+Hit runs are cheap, but once the cache is full a miss costs the event
+loop more than it costs the twin's own batch loop (the eviction
+settles lazy state and forces a re-check).  Under ``engine="auto"``
+the engine therefore picks a loop per chunk.  Once the cache has
+evicted, a chunk whose probe shows a miss fraction above the kernel's
+measured :data:`CROSSOVER` runs through the clone's ``_batch``.  The
+batch loop hands back when a chunk's miss count falls below it again,
+with a :data:`HYSTERESIS` band either way.  Handing off folds every
+resident slot's pending hits and detaches the ledger
+(:meth:`_HitLedger.detach`); handing back advances every occurrence
+pointer past the stretch and attaches it again
+(:meth:`_HitLedger.attach`).  ``engine="vector"`` never hands off.
+
 LRU is excluded by design: its hits mutate the recency order, which is
 exactly the paper's point.
 
@@ -63,6 +76,17 @@ from repro.sim.simulator import SimulationResult, _resolve_warmup
 
 #: Default number of requests probed per vectorized residency lookup.
 VECTOR_CHUNK = 4096
+
+#: Miss fraction of a chunk above which a kernel's own batch loop
+#: beats the event loop, under ``engine="auto"``.  Measured per kernel
+#: kind on Zipf traces (100k objects, capacity 10k; see
+#: docs/PERFORMANCE.md).  S-FIFO has no batch loop to hand to.
+CROSSOVER = {"fifo": 0.26, "sieve": 0.30, "s3fifo": 0.13}
+
+#: Half-width of the band around the crossover inside which the engine
+#: keeps the loop it is in, so a trace near the crossover does not pay
+#: for a handoff at every chunk.
+HYSTERESIS = 0.02
 
 #: Registry names the vector engine can execute (the FIFO family; a
 #: reference policy and its ``*-fast`` twin run on the same kernel).
@@ -109,6 +133,63 @@ class _HitLedger:
         self.chunk_end = 0
         #: The event being processed; set by the engine.
         self.pos = 0
+        self.ids_np = _numpy().frombuffer(trace.keys, dtype="int64")
+        #: Per-key occurrence counts over ``[0, _counted)``, kept for
+        #: handoffs only.
+        self._seen = None
+        self._counted = 0
+
+    def _count_to(self, pos: int):
+        """Per-key occurrence counts over ``[_counted, pos)``, which
+        are then added to ``_seen``."""
+        np = _numpy()
+        k = len(self.ptr)
+        if self._seen is None:
+            self._seen = np.zeros(k, dtype=np.int64)
+        span = np.bincount(self.ids_np[self._counted:pos], minlength=k)
+        self._seen += span
+        self._counted = pos
+        return span
+
+    def detach(self, kernel, pos: int) -> None:
+        """Hand ``kernel`` to its own batch loop from position ``pos``:
+        fold every resident slot's pending hits, leave every pointer
+        at its key's first occurrence at or after ``pos``, and unhook
+        the ledger.
+
+        Non-resident keys' pointers are already there (the insert
+        invariant), so only resident slots are visited."""
+        np = _numpy()
+        self._count_to(pos)
+        res = np.flatnonzero(np.frombuffer(kernel._loc, dtype=np.uint8))
+        m = len(res)
+        if m:
+            kids = res.tolist()
+            start = np.fromiter(map(self.occ_start.__getitem__, kids),
+                                np.int64, m)
+            cur = np.fromiter(map(self.ptr.__getitem__, kids), np.int64, m)
+            target = start + self._seen[res]
+            pending = target - cur
+            sel = np.flatnonzero(pending)
+            ptr = self.ptr
+            fold = kernel._fold_hits
+            for kid, at, hits in zip(res[sel].tolist(), target[sel].tolist(),
+                                     pending[sel].tolist()):
+                fold(kid, hits)
+                ptr[kid] = at
+        kernel._lazy = None
+
+    def attach(self, kernel, pos: int) -> None:
+        """Take ``kernel`` back after its batch loop ran up to ``pos``:
+        advance every pointer past the stretch's occurrences (the loop
+        applied those hits itself) and hook the ledger in again."""
+        np = _numpy()
+        span = self._count_to(pos)
+        touched = np.flatnonzero(span)
+        ptr = self.ptr
+        for kid, count in zip(touched.tolist(), span[touched].tolist()):
+            ptr[kid] += count
+        kernel._lazy = self
 
     def begin_chunk(self, end: int) -> list:
         forced = self.forced = []
@@ -278,6 +359,7 @@ def vector_simulate(
     warmup: float = 0.0,
     warmup_requests: Optional[int] = None,
     chunk: int = VECTOR_CHUNK,
+    auto: bool = False,
 ) -> SimulationResult:
     """Simulate ``policy`` over a compiled trace with the vector engine.
 
@@ -288,6 +370,13 @@ def vector_simulate(
     resident set stay exactly as passed in (pristine, per
     :func:`vector_eligible`).  ``chunk`` sets the vectorized probe
     width; results are invariant to it by construction.
+
+    With ``auto`` (``engine="auto"``) the engine picks a loop per
+    chunk: once the cache has evicted, a chunk whose miss fraction is
+    above the kernel's :data:`CROSSOVER` runs through the clone's own
+    batch loop, and the batch loop hands back once a chunk's misses
+    fall below it (with a :data:`HYSTERESIS` band either way).
+    S-FIFO's kernel has no batch loop and always runs as hit runs.
     """
     if not vector_eligible(policy, trace):
         raise ValueError(
@@ -302,7 +391,7 @@ def vector_simulate(
     n = len(trace)
     warmup_requests = min(_resolve_warmup(trace, warmup, warmup_requests), n)
 
-    ids_np = np.frombuffer(trace.keys, dtype=np.int64)
+    ids_np = ledger.ids_np
     ids = trace.key_ids()
     sizes = trace.sizes
     unit = sizes is None
@@ -321,6 +410,18 @@ def vector_simulate(
     evicted = ledger.evicted
     ptr = ledger.ptr
 
+    batch = getattr(kernel, "_batch", None) if auto else None
+    if batch is not None:
+        crossover = CROSSOVER[policy.vector_spec()["kind"]]
+        to_scalar = crossover + HYSTERESIS
+        to_vector = crossover - HYSTERESIS
+        # The batch loop maps trace ids to slots; a clone's slot is the id.
+        slots = trace.id_range()
+    scalar = False
+    handoffs = 0
+    vector_requests = 0  # requests of the chunks the event loop ran
+    candidates = 0
+    events = 0
     # counters[bucket] = (misses, bytes_requested, bytes_missed)
     counters = []
     warmup_evictions = 0
@@ -332,14 +433,38 @@ def vector_simulate(
         bytes_missed = 0
         for c0 in range(lo, hi, chunk):
             c1 = min(c0 + chunk, hi)
-            cand_np = mask_np[ids_np[c0:c1]] == 0
+            if not scalar:
+                cand_np = mask_np[ids_np[c0:c1]] == 0
+                if not unit:
+                    cand_np |= over_np[c0:c1]
+                cand = (np.flatnonzero(cand_np) + c0).tolist()
+                # Until the cache first evicts, every event is a cheap
+                # insert and the event loop wins at any miss fraction.
+                if (batch is not None and kernel.stats.evictions
+                        and len(cand) > to_scalar * (c1 - c0)):
+                    ledger.detach(kernel, c0)
+                    scalar = True
+                    handoffs += 1
+            if scalar:
+                _, chunk_misses, chunk_bytes, chunk_missed = batch(
+                    trace, c0, c1, slots
+                )
+                misses += chunk_misses
+                bytes_requested += chunk_bytes
+                bytes_missed += chunk_missed
+                if chunk_misses < to_vector * (c1 - c0):
+                    ledger.attach(kernel, c1)
+                    scalar = False
+                    handoffs += 1
+                continue
+            vector_requests += c1 - c0
             if not unit:
                 bytes_requested += int(sizes_np[c0:c1].sum())
-                cand_np |= over_np[c0:c1]
-            cand = (np.flatnonzero(cand_np) + c0).tolist()
             if not cand:
                 continue
-            for evt in _events(cand, ledger.begin_chunk(c1)):
+            candidates += len(cand)
+            chunk_events = _events(cand, ledger.begin_chunk(c1))
+            for nev, evt in enumerate(chunk_events, 1):
                 kid = ids[evt]
                 ledger.pos = evt
                 if unit:
@@ -366,11 +491,13 @@ def vector_simulate(
                 misses += 1
                 bytes_missed += size
                 ptr[kid] += 1  # consume this occurrence (insert invariant)
+            events += nev
         counters.append((misses, bytes_requested, bytes_missed))
     requests = n - warmup_requests
     misses, bytes_requested, bytes_missed = counters[1]
     if unit:
         bytes_requested = requests
+    scalar_requests = n - vector_requests
     return SimulationResult(
         policy_name=policy.name,
         capacity=capacity,
@@ -381,4 +508,11 @@ def vector_simulate(
         evictions=kernel.stats.evictions - warmup_evictions,
         warmup_requests=warmup_requests,
         warmup_evictions=warmup_evictions,
+        engine=("auto" if vector_requests and scalar_requests
+                else "scalar" if scalar_requests else "vector"),
+        hit_run_requests=vector_requests - events,
+        event_requests=events,
+        forced_rechecks=events - candidates,
+        scalar_requests=scalar_requests,
+        handoffs=handoffs,
     )

@@ -40,7 +40,7 @@ class CompiledTrace:
 
     __slots__ = (
         "name", "keys", "sizes", "next_access", "key_table",
-        "_key_ids", "_occ_index",
+        "_key_ids", "_id_range", "_occ_index",
     )
 
     def __init__(
@@ -61,6 +61,7 @@ class CompiledTrace:
         self.next_access = next_access
         self.name = name
         self._key_ids: Optional[list] = None
+        self._id_range: Optional[list] = None
         self._occ_index: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -105,9 +106,17 @@ class CompiledTrace:
         if ids is None:
             # Route through a canonical int per id so the list holds
             # shared references instead of one fresh int per request.
-            canon = list(range(self.num_objects))
+            canon = self._id_range = list(range(self.num_objects))
             ids = self._key_ids = [canon[k] for k in self.keys]
         return ids
+
+    def id_range(self) -> list:
+        """``list(range(num_objects))`` over the same int objects as
+        :meth:`key_ids`, materialized with it and cached: the id ->
+        slot map of a batch loop whose slots are the trace's ids."""
+        if self._id_range is None:
+            self.key_ids()
+        return self._id_range
 
     def occurrence_index(self) -> tuple:
         """CSR index of per-key occurrence positions, built once and cached.

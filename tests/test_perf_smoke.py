@@ -36,7 +36,7 @@ def test_bench_report_schema(tmp_path):
     )
     path = write_report(report, tmp_path / "BENCH_perf.json")
     loaded = json.loads(path.read_text())
-    assert loaded["schema"] == 2
+    assert loaded["schema"] == 3
     assert loaded["trace"] == "zipf-1"
     assert loaded["seed"] == 7
     assert loaded["config"]["capacity"] == 50
@@ -84,6 +84,51 @@ def test_vector_bench_section_schema():
         # best-of-N: the reported wall is the minimum repeat.
         assert row["wall_time_s"] == min(row["all_walls_s"])
     assert section["targets"] == {"fifo-fast": 2.5, "s3fifo-fast": 2.0}
+
+
+def test_auto_sweep_section_schema(tmp_path):
+    """Toy-scale run of the auto-engine sweep: schema, the engine split
+    of every row, and merging into an existing report."""
+    from repro.perf.bench import (
+        SWEEP_ENGINES,
+        format_auto_sweep,
+        merge_section,
+        run_auto_sweep,
+    )
+
+    section = run_auto_sweep(
+        alphas=(0.6, 1.4),
+        policies=("fifo-fast", "s3fifo-fast"),
+        num_objects=500,
+        num_requests=5_000,
+        seed=7,
+        repeats=2,
+        min_seconds=0.0,
+    )
+    assert section["env"]["cpu_count"] >= 1
+    assert section["floor"] == 0.95
+    assert [(r["alpha"], r["policy"]) for r in section["rows"]] == [
+        (0.6, "fifo-fast"), (0.6, "s3fifo-fast"),
+        (1.4, "fifo-fast"), (1.4, "s3fifo-fast"),
+    ]
+    for row in section["rows"]:
+        assert row["rounds"] == 2
+        for engine in SWEEP_ENGINES:
+            assert len(row["all_cpu_s"][engine]) == 2
+            assert row["best_cpu_s"][engine] == min(row["all_cpu_s"][engine])
+        assert row["auto_engine"] in ("scalar", "vector", "auto")
+        assert row["auto_vs_best"] > 0 and row["auto_vs_best_of_n"] > 0
+        shares = (row["hit_run_share"] + row["event_share"]
+                  + row["scalar_share"])
+        assert abs(shares - 1.0) < 1e-3
+    assert len(format_auto_sweep(section).splitlines()) == 5
+
+    path = tmp_path / "BENCH_perf.json"
+    path.write_text(json.dumps({"schema": 2, "results": [], "vector": {}}))
+    merged = merge_section(path, "auto_sweep", section)
+    assert merged["schema"] == 3
+    assert set(merged) == {"schema", "results", "vector", "auto_sweep"}
+    assert json.loads(path.read_text()) == json.loads(json.dumps(merged))
 
 
 def test_bench_rejects_divergent_pair():

@@ -160,3 +160,89 @@ class TestSimulationResult:
         assert r.total_evictions == 37
         assert r.hits == 60
         assert r.miss_ratio == 0.4
+
+
+class TestWarmupValidation:
+    """A negative ``warmup_requests`` is rejected the same way by every
+    engine (it used to overcount, raise IndexError, or be recorded)."""
+
+    TRACE = compile_trace(ZIPF)
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "vector"])
+    def test_compiled_engines_reject_negative(self, engine):
+        with pytest.raises(ValueError, match="warmup_requests"):
+            simulate(create_policy("fifo-fast", 50), self.TRACE,
+                     warmup_requests=-5, engine=engine)
+
+    def test_streaming_rejects_negative(self):
+        with pytest.raises(ValueError, match="warmup_requests"):
+            simulate(create_policy("fifo", 50), ZIPF, warmup_requests=-5)
+
+    def test_zero_is_accepted(self):
+        result = simulate(create_policy("fifo", 50), ZIPF, warmup_requests=0)
+        assert result.requests == len(ZIPF)
+
+
+class TestEngineValidation:
+    def test_unknown_engine_rejected_on_streaming_trace(self):
+        with pytest.raises(ValueError, match="engine"):
+            simulate(create_policy("fifo", 10), [1, 2, 3], engine="bogus")
+
+    def test_vector_needs_compiled_trace(self):
+        with pytest.raises(ValueError, match="CompiledTrace"):
+            simulate(create_policy("fifo", 10), [1, 2, 3], engine="vector")
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_streaming_runs_for_auto_and_scalar(self, engine):
+        result = simulate(create_policy("fifo", 10), [1, 2, 1], engine=engine)
+        assert result.misses == 2
+
+    def test_uncompiled_fallback_jobs_report_engine_errors(self, monkeypatch):
+        """A job whose trace cannot be compiled streams; an engine the
+        stream cannot honour lands in ``SweepResult.error``."""
+        import repro.traces.compiled as compiled
+        from repro.sim.runner import SweepJob, execute_job
+
+        def refuse(trace, name=None, annotate=False):
+            raise TypeError("not compilable")
+
+        monkeypatch.setattr(compiled, "compile_trace", refuse)
+        results = {
+            engine: execute_job(SweepJob(
+                "raw", lambda: list(ZIPF[:500]), {}, "fifo", 20,
+                engine=engine,
+            ))
+            for engine in ("auto", "scalar", "vector", "bogus")
+        }
+        assert results["auto"].ok and results["scalar"].ok
+        assert results["auto"].miss_ratio == results["scalar"].miss_ratio
+        assert "CompiledTrace" in results["vector"].error
+        assert "engine must be" in results["bogus"].error
+
+
+class TestEngineReport:
+    """Every result says which engine ran and how the trace was split."""
+
+    def test_streaming_reports_scalar(self):
+        result = simulate(create_policy("fifo", 50), ZIPF,
+                          warmup_requests=100)
+        assert result.engine == "scalar"
+        assert result.scalar_requests == len(ZIPF)
+        assert (result.hit_run_requests, result.event_requests,
+                result.forced_rechecks, result.handoffs) == (0, 0, 0, 0)
+
+    def test_scalar_engine_reports_scalar(self):
+        trace = compile_trace(ZIPF)
+        result = simulate(create_policy("s3fifo-fast", 50), trace,
+                          warmup=0.25, engine="scalar")
+        assert result.engine == "scalar"
+        assert result.scalar_requests == len(trace)
+
+    def test_vector_engine_reports_split(self):
+        trace = compile_trace(ZIPF)
+        result = simulate(create_policy("s3fifo-fast", 50), trace,
+                          warmup=0.25, engine="vector")
+        assert result.engine == "vector"
+        assert result.scalar_requests == 0 and result.handoffs == 0
+        assert result.hit_run_requests + result.event_requests == len(trace)
+        assert 0 <= result.forced_rechecks <= result.event_requests

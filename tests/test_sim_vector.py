@@ -15,7 +15,12 @@ pin every clause of that promise:
   repeated keys whose first touch in a chunk is a miss, the two places
   where forced-candidate bookkeeping could drift;
 * engine wiring: ``simulate_compiled`` routing, eligibility rules,
-  and the no-mutation guarantee (the policy object stays pristine).
+  and the no-mutation guarantee (the policy object stays pristine);
+* handoffs under ``engine="auto"``: with the crossover set so that the
+  engine changes loop at every chunk, alternates as the data dictates,
+  or never changes, every result field still equals the scalar
+  engine's, on unit and sized traces, with the warmup boundary inside
+  either loop's stretch.
 """
 
 import random
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.registry import create_policy
+from repro.sim import vector
 from repro.sim.request import Request
 from repro.sim.simulator import simulate, simulate_compiled
 from repro.sim.vector import (
@@ -309,3 +315,167 @@ def test_sweep_job_engine_pinning():
     ]
     groups, singles = coalesce_jobs(unpinned)
     assert groups and not singles
+
+
+# ----------------------------------------------------------------------
+# Handoffs between the event loop and the twin's batch loop (auto)
+# ----------------------------------------------------------------------
+
+#: (crossover, hysteresis) per handoff pattern.  The event loop keeps
+#: every chunk until the cache first evicts; after that, "every": both
+#: loops give up after each chunk, so every chunk boundary is a handoff
+#: pair.  "alternate": a 0.5 crossover with no band, so the trace
+#: decides.  "vector-only": no handoff, ever.  "batch-once-full": one
+#: handoff, at the first chunk after the first eviction.
+HANDOFF_MODES = {
+    "every": (0.5, -2.0),
+    "alternate": (0.5, 0.0),
+    "vector-only": (2.0, 0.0),
+    "batch-once-full": (-1.0, 0.0),
+}
+HANDOFF_POLICIES = (
+    "fifo", "fifo-fast", "sieve", "sieve-fast", "s3fifo", "s3fifo-fast",
+)
+
+
+def _auto_run(mode, name, capacity, trace, chunk, warmup_requests=None):
+    crossover, band = HANDOFF_MODES[mode]
+    with pytest.MonkeyPatch.context() as mp:
+        for kind in vector.CROSSOVER:
+            mp.setitem(vector.CROSSOVER, kind, crossover)
+        mp.setattr(vector, "HYSTERESIS", band)
+        return vector_simulate(
+            create_policy(name, capacity), trace, chunk=chunk,
+            warmup_requests=warmup_requests, auto=True,
+        )
+
+
+def _assert_auto_matches_scalar(mode, name, capacity, trace, chunk,
+                                warmup_requests=None):
+    ref = simulate_compiled(
+        create_policy(name, capacity), trace,
+        warmup_requests=warmup_requests, engine="scalar",
+    )
+    got = _auto_run(mode, name, capacity, trace, chunk, warmup_requests)
+    ctx = (mode, name, capacity, chunk, warmup_requests)
+    _assert_identical(ref, got, ctx)
+    assert (got.hit_run_requests + got.event_requests
+            + got.scalar_requests) == len(trace), ctx
+    return got
+
+
+@given(
+    keys=st.lists(
+        st.integers(min_value=0, max_value=25), min_size=1, max_size=120
+    ),
+    capacity=st.integers(min_value=1, max_value=12),
+    chunk=st.integers(min_value=1, max_value=130),
+    mode=st.sampled_from(sorted(HANDOFF_MODES)),
+    name=st.sampled_from(HANDOFF_POLICIES),
+    warm=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_handoff_property_unit(keys, capacity, chunk, mode, name, warm):
+    """Hypothesis: any unit trace, chunk width, warmup split and handoff
+    pattern — auto is bit-identical to the scalar engine."""
+    _assert_auto_matches_scalar(
+        mode, name, capacity, compile_trace(keys), chunk,
+        warmup_requests=int(warm * len(keys)),
+    )
+
+
+@given(
+    items=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=15),
+            st.integers(min_value=1, max_value=30),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    capacity=st.integers(min_value=1, max_value=20),
+    chunk=st.integers(min_value=1, max_value=130),
+    mode=st.sampled_from(sorted(HANDOFF_MODES)),
+    warm=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_handoff_property_sized(items, capacity, chunk, mode, warm):
+    """Sized variant: sizes routinely exceed capacity, so oversized
+    requests land in both loops and across handoffs."""
+    trace = compile_trace(items)
+    for name in HANDOFF_POLICIES:
+        _assert_auto_matches_scalar(
+            mode, name, capacity, trace, chunk,
+            warmup_requests=int(warm * len(items)),
+        )
+
+
+@pytest.mark.parametrize("name", HANDOFF_POLICIES)
+@pytest.mark.parametrize("mode", sorted(HANDOFF_MODES))
+def test_handoff_differential(mode, name):
+    """Fixed traces with scans and oversized requests; the warmup
+    boundary (1234) falls inside a batch-loop stretch in
+    "batch-once-full"/"every" and inside a hit-run stretch in
+    "vector-only"."""
+    for tname, (trace, caps) in TRACES.items():
+        for cap in caps:
+            for chunk in (5, 130):
+                got = _assert_auto_matches_scalar(
+                    mode, name, cap, trace, chunk, warmup_requests=1234
+                )
+                ctx = (tname, cap, chunk)
+                if mode == "vector-only":
+                    assert got.engine == "vector", ctx
+                    assert not got.handoffs, ctx
+                elif mode == "batch-once-full":
+                    assert got.handoffs == (got.scalar_requests > 0), ctx
+                elif mode == "every":
+                    assert got.handoffs % 2 == 0, ctx
+                if cap == 7 and mode != "vector-only":
+                    # The zipf trace overflows capacity 7 at once.
+                    assert got.engine == "auto", ctx
+                    assert got.scalar_requests > 1234, ctx
+
+
+def test_handoff_folds_pending_hits():
+    """A hit-run stretch leaves skipped hits pending; the handoff to
+    the batch loop must fold them before that loop evicts.  A scan
+    fills the cache, keys 0-3 enter it, a chunk of hits on them runs
+    as hit runs, and the next scan hands off and evicts them."""
+    scan = list(range(100, 116))
+    keys = scan + [0, 1, 2, 3] * 8 + [s + 100 for s in scan] + [0, 1, 2, 3]
+    trace = compile_trace(keys)
+    for name in HANDOFF_POLICIES:
+        got = _assert_auto_matches_scalar("alternate", name, 6, trace, 16)
+        assert got.engine == "auto" and got.handoffs >= 3, name
+        assert got.hit_run_requests >= 12, name
+
+
+def test_sfifo_never_hands_off():
+    """S-FIFO's kernel has no batch loop: auto runs it as hit runs."""
+    trace, _ = TRACES["zipf"]
+    got = _auto_run("batch-once-full", "sfifo", 60, trace, 64)
+    assert got.engine == "vector" and got.handoffs == 0
+    ref = simulate_compiled(create_policy("sfifo", 60), trace,
+                            engine="scalar")
+    _assert_identical(ref, got, ("sfifo",))
+
+
+def test_auto_routes_by_miss_fraction():
+    """Default constants: until the cache first evicts the event loop
+    runs (every miss is a cheap insert), then a miss-heavy trace goes
+    to the batch loop for good and a hit-heavy one stays in hit runs."""
+    n = 60_000
+    for alpha, name in ((0.6, "fifo-fast"), (0.6, "sieve-fast"),
+                        (0.6, "s3fifo-fast"), (1.4, "s3fifo-fast")):
+        trace = compile_trace(zipf_trace(num_objects=20_000, num_requests=n,
+                                         alpha=alpha, seed=3))
+        result = simulate(create_policy(name, 200), trace)
+        assert (result.hit_run_requests + result.event_requests
+                + result.scalar_requests) == n
+        if alpha < 1:
+            assert result.engine == "auto" and result.handoffs == 1, name
+            assert result.scalar_requests == n - vector.VECTOR_CHUNK, name
+        else:
+            assert result.engine == "vector", name
+            assert result.hit_run_requests > 0.8 * n, name
