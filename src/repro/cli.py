@@ -512,32 +512,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"--transport {args.transport} requires --backend mp",
               file=sys.stderr)
         return 2
-    if args.backend == "mp":
-        from repro.service.mp import MPCacheService
-
-        num_shards = args.workers
-        capacity = max(num_shards, int(args.objects * args.cache_ratio))
-        service = MPCacheService(
-            capacity, args.policy, num_workers=num_shards,
-            transport=args.transport,
-            checked=args.checked,
-        )
-    elif args.backend == "cluster":
-        from repro.cluster import ClusterCacheService
-
-        num_shards = args.nodes
-        capacity = max(num_shards, int(args.objects * args.cache_ratio))
-        service = ClusterCacheService(
-            capacity, args.policy, num_nodes=num_shards,
-            replication=args.replication, vnodes=args.vnodes,
-            checked=args.checked,
-        )
-    else:
-        num_shards = args.shards
-        capacity = max(num_shards, int(args.objects * args.cache_ratio))
-        service = build_service(
-            capacity, args.policy, num_shards, checked=args.checked
-        )
+    num_shards = {"mp": args.workers, "cluster": args.nodes}.get(
+        args.backend, args.shards
+    )
+    capacity = max(num_shards, int(args.objects * args.cache_ratio))
+    service = build_service(
+        capacity, args.policy, num_shards, args.backend,
+        transport=args.transport, replication=args.replication,
+        vnodes=args.vnodes, checked=args.checked,
+    )
     if network:
         return _serve_network(args, service)
     ttl = args.ttl

@@ -10,16 +10,23 @@ consistent-hash :class:`~repro.cluster.ring.HashRing` instead of a
 modulo map, and every key written to its first ``replication``
 distinct ring owners.
 
+The process plumbing is the mp backend's too: spawning, the pipelined
+exchange, down tracking and the bounded teardown live in
+:class:`~repro.service.pool.WorkerPool`, and the nodes stay on its pipe
+transport.  This module keeps only placement and what a crash means
+here — the ring, the replica walk, read-repair and rebalance.
+
 Failure semantics, in order of appearance:
 
 * **Failover.**  A node that dies — detected by pipe EOF, exactly the
   mp backend's watchdog signal, and injectable deterministically with
   the :data:`~repro.resilience.faults.WORKER_CRASH` fault kind — is
-  marked down and *skipped*: reads walk the key's surviving replicas,
-  writes land on them.  With ``replication >= 2`` a single node death
-  is client-invisible (zero errors, no hangs); with ``replication=1``
-  the dead node's keys degrade to misses and dropped writes, counted
-  in ``degraded_ops`` — degraded, never wrong and never stale.
+  marked down by the pool and *skipped*: reads walk the key's
+  surviving replicas, writes land on them.  With ``replication >= 2``
+  a single node death is client-invisible (zero errors, no hangs);
+  with ``replication=1`` the dead node's keys degrade to misses and
+  dropped writes, counted in ``degraded_ops`` — degraded, never wrong
+  and never stale.
 * **Read-repair.**  When a read misses on a live replica but hits on
   a later one, the value is written back to the replicas that missed,
   healing divergence created while a node was down (or after it
@@ -44,19 +51,13 @@ deterministic failover tests pin this.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.service.mp import (
-    ServiceClosedError,
-    WorkerCrashedError,
-    _default_start_method,
-    _worker_main,
-)
+from repro.service.pool import WorkerPool
 from repro.service.sharded import (
+    ShardOpsMixin,
     aggregate_stats,
     partition_capacity,
     stable_key_hash,
@@ -78,24 +79,7 @@ class _Miss:
     __slots__ = ()
 
 
-class _Node:
-    """Parent-side record for one node process."""
-
-    __slots__ = ("node_id", "conn", "proc", "lock", "alive", "capacity",
-                 "pid", "exitcode")
-
-    def __init__(self, node_id: int, conn, proc, capacity: int) -> None:
-        self.node_id = node_id
-        self.conn = conn
-        self.proc = proc
-        self.lock = threading.Lock()
-        self.alive = True
-        self.capacity = capacity
-        self.pid = proc.pid
-        self.exitcode: Optional[int] = None
-
-
-class ClusterCacheService:
+class ClusterCacheService(ShardOpsMixin):
     """N replicated node processes behind the one-service API.
 
     Parameters
@@ -160,15 +144,11 @@ class ClusterCacheService:
         self.capacity = capacity
         self.replication = replication
         self._node_share = capacities[0]  # a joiner's capacity share
-        self._policy = policy
-        self._service_kwargs = dict(service_kwargs)
-        self._ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
         self.ring = HashRing(vnodes=vnodes)
-        self._nodes: Dict[int, _Node] = {}
-        self._handshakes: Dict[int, Dict[str, Any]] = {}
-        self._closed = False
+        self._pool = WorkerPool(
+            policy, service_kwargs, label="ClusterCacheService",
+            process_name="cluster-cache-node", start_method=start_method,
+        )
         self._counter_lock = threading.Lock()
         self.failovers = 0
         self.read_repairs = 0
@@ -180,11 +160,11 @@ class ClusterCacheService:
                 self._spawn_node(i, cap, (fault_plans or {}).get(i))
                 self.ring.add_node(i)
         except BaseException:
-            self._closed = True
-            self._teardown()
+            self._pool.close()
             raise
-        self.policy_name = self._handshakes[0]["policy_name"]
-        self.supports_removal = self._handshakes[0]["supports_removal"]
+        info = self._pool.handshakes[0]
+        self.policy_name = info["policy_name"]
+        self.supports_removal = info["supports_removal"]
         if metrics is not None:
             self._wire_metrics(metrics)
 
@@ -192,151 +172,48 @@ class ClusterCacheService:
     # Node lifecycle
     # ------------------------------------------------------------------
     def _spawn_node(self, node_id: int, capacity: int, fault_plan) -> None:
-        """Start one node process and run the startup handshake."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, node_id, capacity, self._policy,
-                  dict(self._service_kwargs), False, fault_plan),
-            name=f"cluster-cache-node-{node_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # the node holds the only child end
-        node = _Node(node_id, parent_conn, proc, capacity)
-        self._nodes[node_id] = node
-        try:
-            tag, payload = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._crash_error(node) from exc
-        if tag == "err":
-            raise payload
-        self._handshakes[node_id] = payload
-        node.pid = payload["pid"]
+        """Start one node process (handshake included)."""
+        self._pool.spawn(node_id, capacity, fault_plan)
         if self._registry is not None:
             self._register_node_gauge(node_id)
 
-    def _crash_error(self, node: _Node) -> WorkerCrashedError:
-        node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        return WorkerCrashedError(node.node_id, node.pid, node.exitcode)
-
-    def _mark_down(self, node: _Node) -> None:
-        """Record a node death; never raises — this is failover, not
-        failure."""
-        if not node.alive:
-            return
-        node.alive = False
-        node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        try:
-            node.conn.close()
-        except OSError:
-            pass
-
-    def _shutdown_node(self, node: _Node, timeout: float = 2.0) -> None:
-        """Stop one node process for good (close message, join, kill)."""
-        with node.lock:
-            if node.alive:
-                try:
-                    node.conn.send(("close",))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-            try:
-                node.conn.close()
-            except OSError:
-                pass
-            node.alive = False
-        node.proc.join(timeout=timeout)
-        if node.proc.is_alive():
-            node.proc.terminate()
-            node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        try:
-            node.proc.close()
-        except ValueError:
-            pass
-
     def _live_ids(self) -> List[int]:
-        return sorted(nid for nid, node in self._nodes.items() if node.alive)
-
-    def _node_alive(self, node_id: int) -> bool:
-        node = self._nodes.get(node_id)
-        return node is not None and node.alive
+        return [nid for nid in self.node_ids if self._pool.alive(nid)]
 
     @property
     def node_ids(self) -> List[int]:
         """Every ring member's id, sorted (live or not)."""
-        return sorted(self._nodes)
+        return self._pool.worker_ids
 
     def node_health(self) -> Dict[int, bool]:
         """``{node_id: alive}`` for every ring member, sorted."""
-        return {nid: self._nodes[nid].alive for nid in sorted(self._nodes)}
+        return {nid: self._pool.alive(nid) for nid in self.node_ids}
+
+    def _require_node(self, node_id: int) -> None:
+        if node_id not in self._pool.handshakes:
+            raise ValueError(f"unknown node id {node_id}")
 
     # ------------------------------------------------------------------
-    # Channel plumbing (mark-down semantics, unlike mp's raise)
+    # Exchange (a crash means failover, unlike mp's raise)
     # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError(
-                "ClusterCacheService is closed; build a new one"
-            )
+    def _exchange(self, msgs: Dict[int, tuple]) -> Dict[int, Any]:
+        """One pipelined pool exchange; replies from the nodes that
+        answered.
 
-    def _exchange(
-        self, msgs: Dict[int, tuple]
-    ) -> Tuple[Dict[int, Any], List[int]]:
-        """One message per node; returns ``(replies, crashed_ids)``.
-
-        Locks are taken in node-id order and all sends complete before
-        the first receive, so the involved nodes run concurrently.  A
-        node that dies mid-exchange is *marked down* and listed in
-        ``crashed_ids`` — the caller fails over; a crash never raises
-        here.  Remote application errors (bad ttl, removal
-        unsupported) still raise after the drain, like the mp backend.
+        A node that is down, or dies mid-exchange, is simply absent
+        from the replies — the pool marks it down and the caller fails
+        over; a crash never raises here.  Remote application errors
+        (bad ttl, removal unsupported) still raise after the drain,
+        like the mp backend.
         """
-        self._ensure_open()
-        idxs = sorted(nid for nid in msgs if nid in self._nodes)
-        nodes = [self._nodes[nid] for nid in idxs]
-        for node in nodes:
-            node.lock.acquire()
-        try:
-            crashed: List[int] = []
-            remote: Optional[BaseException] = None
-            replies: Dict[int, Any] = {}
-            sent: List[_Node] = []
-            for node in nodes:
-                if not node.alive:
-                    crashed.append(node.node_id)
-                    continue
-                try:
-                    node.conn.send(msgs[node.node_id])
-                except (OSError, ValueError):
-                    self._mark_down(node)
-                    crashed.append(node.node_id)
-                    continue
-                sent.append(node)
-            for node in sent:
-                try:
-                    tag, payload = node.conn.recv()
-                except (EOFError, OSError):
-                    self._mark_down(node)
-                    crashed.append(node.node_id)
-                    continue
-                if tag == "err":
-                    remote = remote or payload
-                else:
-                    replies[node.node_id] = payload
-            if remote is not None:
-                raise remote
-            return replies, crashed
-        finally:
-            for node in reversed(nodes):
-                node.lock.release()
+        replies, _crashed, remote = self._pool.exchange(msgs)
+        if remote is not None:
+            raise remote
+        return replies
 
     def _exchange_live(self, msg: tuple) -> Dict[int, Any]:
         """The same message to every live node; crashed nodes dropped."""
-        replies, _ = self._exchange({nid: msg for nid in self._live_ids()})
-        return replies
+        return self._exchange({nid: msg for nid in self._live_ids()})
 
     def _count(self, **deltas: int) -> None:
         with self._counter_lock:
@@ -354,7 +231,7 @@ class ClusterCacheService:
 
     def _live_owners(self, key: Hashable) -> List[int]:
         return [nid for nid in self.owners_for(key)
-                if self._node_alive(nid)]
+                if self._pool.alive(nid)]
 
     # ------------------------------------------------------------------
     # The service surface
@@ -386,7 +263,7 @@ class ClusterCacheService:
         keys = list(keys)
         if not keys:
             return []
-        self._ensure_open()
+        self._pool.ensure_open()
         miss = _Miss()
         n = len(keys)
         results: List[Any] = [default] * n
@@ -403,7 +280,7 @@ class ClusterCacheService:
                 owners = owner_lists[pos]
                 cur = cursors[pos]
                 while (cur < len(owners)
-                       and not self._node_alive(owners[cur])):
+                       and not self._pool.alive(owners[cur])):
                     skipped_dead[pos] = True
                     cur += 1
                 cursors[pos] = cur
@@ -411,7 +288,7 @@ class ClusterCacheService:
                     groups.setdefault(owners[cur], []).append(pos)
             if not groups:
                 break
-            replies, _ = self._exchange({
+            replies = self._exchange({
                 nid: ("get_many", [keys[p] for p in positions], miss)
                 for nid, positions in groups.items()
             })
@@ -440,7 +317,7 @@ class ClusterCacheService:
             if hit[pos] and missed_on[pos]:
                 repaired += 1
                 for nid in missed_on[pos]:
-                    if self._node_alive(nid):
+                    if self._pool.alive(nid):
                         repairs.setdefault(nid, []).append(
                             (keys[pos], results[pos])
                         )
@@ -476,47 +353,17 @@ class ClusterCacheService:
         items = list(items)
         if not items:
             return []
-        self._ensure_open()
+        self._pool.ensure_open()
         if ttl is not _UNSET and ttl is not None and ttl < 0:
             raise ValueError(f"ttl must be >= 0, got {ttl}")
         has_ttl = ttl is not _UNSET
-        n = len(items)
-        owner_live: List[List[int]] = []
-        skipped_dead = 0
-        groups: Dict[int, List[int]] = {}
-        for pos, (key, _value) in enumerate(items):
-            owners = self.owners_for(key)
-            live = [nid for nid in owners if self._node_alive(nid)]
-            if len(live) < len(owners):
-                skipped_dead += 1
-            owner_live.append(live)
-            for nid in live:
-                groups.setdefault(nid, []).append(pos)
-        replies: Dict[int, Any] = {}
-        if groups:
-            replies, _ = self._exchange({
-                nid: ("set_many", has_ttl, (ttl if has_ttl else None),
-                      size, [items[p] for p in positions])
-                for nid, positions in groups.items()
-            })
-        per_node: Dict[int, Dict[int, bool]] = {
-            nid: dict(zip(groups[nid], replies[nid]))
-            for nid in replies
-        }
-        results: List[bool] = [False] * n
-        degraded = 0
-        for pos in range(n):
-            reply = None
-            for nid in owner_live[pos]:
-                if nid in per_node and pos in per_node[nid]:
-                    reply = per_node[nid][pos]
-                    break
-            if reply is None:
-                degraded += 1
-            else:
-                results[pos] = reply
-        self._count(failovers=skipped_dead, degraded_ops=degraded)
-        return results
+        answers = self._write_live_owners(
+            [key for key, _value in items],
+            lambda positions: ("set_many", has_ttl,
+                               (ttl if has_ttl else None), size,
+                               [items[p] for p in positions]),
+        )
+        return [replies[0] if replies else False for replies in answers]
 
     def delete_many(self, keys: Iterable[Hashable]) -> List[bool]:
         """Batched delete from all live owners; True if *any* replica
@@ -524,48 +371,53 @@ class ClusterCacheService:
         keys = list(keys)
         if not keys:
             return []
-        self._ensure_open()
-        n = len(keys)
-        owner_live: List[List[int]] = []
-        skipped_dead = 0
+        self._pool.ensure_open()
+        answers = self._write_live_owners(
+            keys,
+            lambda positions: ("delete_many", [keys[p] for p in positions]),
+        )
+        return [any(replies) for replies in answers]
+
+    def _write_live_owners(self, keys: List[Hashable],
+                           make_msg) -> List[List[Any]]:
+        """Send each key to every live owner, one message per node.
+
+        ``make_msg(positions)`` builds a node's message from the key
+        positions routed to it.  Returns, per key, the replies of the
+        owners that answered, in failover order.  A key that skipped a
+        dead owner counts as a failover; one that no owner answered
+        counts as a degraded op.
+        """
+        live_owners: List[List[int]] = []
         groups: Dict[int, List[int]] = {}
+        failovers = 0
         for pos, key in enumerate(keys):
             owners = self.owners_for(key)
-            live = [nid for nid in owners if self._node_alive(nid)]
-            if len(live) < len(owners):
-                skipped_dead += 1
-            owner_live.append(live)
+            live = [nid for nid in owners if self._pool.alive(nid)]
+            failovers += len(live) < len(owners)
+            live_owners.append(live)
             for nid in live:
                 groups.setdefault(nid, []).append(pos)
-        replies: Dict[int, Any] = {}
-        if groups:
-            replies, _ = self._exchange({
-                nid: ("delete_many", [keys[p] for p in positions])
-                for nid, positions in groups.items()
-            })
-        per_node: Dict[int, Dict[int, bool]] = {
-            nid: dict(zip(groups[nid], replies[nid]))
-            for nid in replies
+        replies = self._exchange({
+            nid: make_msg(positions) for nid, positions in groups.items()
+        })
+        per_node = {
+            nid: dict(zip(groups[nid], replies[nid])) for nid in replies
         }
-        results: List[bool] = [False] * n
-        degraded = 0
-        for pos in range(n):
-            answered = False
-            for nid in owner_live[pos]:
-                if nid in per_node and pos in per_node[nid]:
-                    answered = True
-                    results[pos] = results[pos] or per_node[nid][pos]
-            if not answered:
-                degraded += 1
-        self._count(failovers=skipped_dead, degraded_ops=degraded)
-        return results
+        answers = [
+            [per_node[nid][pos] for nid in live if nid in per_node]
+            for pos, live in enumerate(live_owners)
+        ]
+        self._count(failovers=failovers,
+                    degraded_ops=sum(1 for a in answers if not a))
+        return answers
 
     def __contains__(self, key: Hashable) -> bool:
-        self._ensure_open()
+        self._pool.ensure_open()
         for nid in self.owners_for(key):
-            if not self._node_alive(nid):
+            if not self._pool.alive(nid):
                 continue
-            replies, _ = self._exchange({nid: ("contains", key)})
+            replies = self._exchange({nid: ("contains", key)})
             if replies.get(nid):
                 return True
         return False
@@ -585,6 +437,10 @@ class ClusterCacheService:
     # ------------------------------------------------------------------
     # Statistics / observability
     # ------------------------------------------------------------------
+    def _shard_stats(self) -> List[Optional[Dict[str, Any]]]:
+        replies = self._exchange_live(("stats",))
+        return [replies.get(nid) for nid in self.node_ids]
+
     def stats(self) -> Dict[str, Any]:
         """Aggregate stats across live nodes, plus cluster health.
 
@@ -593,14 +449,13 @@ class ClusterCacheService:
         replication factor, vnodes, per-node health, and the
         failover / read-repair / rebalance / degraded-op counters.
         """
-        replies = self._exchange_live(("stats",))
-        live = sorted(replies)
-        aggregate = aggregate_stats([replies[nid] for nid in live])
+        live = [snap for snap in self._shard_stats() if snap is not None]
+        aggregate = aggregate_stats(live)
         aggregate["policy"] = self.policy_name
         aggregate["capacity"] = self.capacity
         aggregate["backend"] = "cluster"
-        aggregate["num_shards"] = len(self._nodes)
-        aggregate["num_nodes"] = len(self._nodes)
+        aggregate["num_shards"] = len(self.node_ids)
+        aggregate["num_nodes"] = len(self.node_ids)
         aggregate["nodes_up"] = len(live)
         aggregate["replication"] = self.replication
         aggregate["vnodes"] = self.ring.vnodes
@@ -612,28 +467,10 @@ class ClusterCacheService:
             aggregate["degraded_ops"] = self.degraded_ops
         return aggregate
 
-    def ops_per_shard(self) -> List[int]:
-        """Operations served per node, in node-id order (0 for a dead
-        node — its counters died with it)."""
-        replies = self._exchange_live(("stats",))
-        out = []
-        for nid in sorted(self._nodes):
-            s = replies.get(nid)
-            out.append(0 if s is None
-                       else s["gets"] + s["sets"] + s["deletes"])
-        return out
-
-    def imbalance(self) -> float:
-        """Hottest live node's operation count over the mean."""
-        from repro.concurrency.sharding import imbalance_factor
-
-        ops = [n for n in self.ops_per_shard() if n > 0]
-        return imbalance_factor(ops) if ops else 1.0
-
     def _wire_metrics(self, registry) -> None:
         registry.gauge(
             "repro_cluster_nodes", "Ring members (live or not)."
-        ).set_function(lambda: float(len(self._nodes)))
+        ).set_function(lambda: float(len(self.node_ids)))
         registry.gauge(
             "repro_cluster_nodes_up", "Nodes currently serving."
         ).set_function(lambda: float(len(self._live_ids())))
@@ -656,7 +493,7 @@ class ClusterCacheService:
             "1 while the node process serves traffic.",
             {"node": str(node_id)},
         ).set_function(
-            lambda nid=node_id: 1.0 if self._node_alive(nid) else 0.0
+            lambda nid=node_id: 1.0 if self._pool.alive(nid) else 0.0
         )
 
     # ------------------------------------------------------------------
@@ -674,7 +511,7 @@ class ClusterCacheService:
         the normal set path, so a rebalance never resurrects expired
         entries and never bypasses admission.
         """
-        self._ensure_open()
+        self._pool.ensure_open()
         exports = self._exchange_live(("export",))
         holding: Dict[int, Dict[Hashable, tuple]] = {
             nid: {key: (value, ttl, size)
@@ -694,7 +531,7 @@ class ClusterCacheService:
                           key=lambda k: (stable_key_hash(k), repr(k))):
             walk = self.ring.nodes_for(key, ring_size)
             desired = [nid for nid in walk
-                       if self._node_alive(nid)][:self.replication]
+                       if self._pool.alive(nid)][:self.replication]
             holders = [nid for nid in walk
                        if nid in holding and key in holding[nid]]
             if not holders:
@@ -727,8 +564,8 @@ class ClusterCacheService:
         """Spawn a fresh empty node, add it to the ring, and return
         its id.  Call :meth:`rebalance` afterwards to move its ~1/N
         share of keys onto it."""
-        self._ensure_open()
-        node_id = max(self._nodes) + 1
+        self._pool.ensure_open()
+        node_id = max(self.node_ids) + 1
         self._spawn_node(node_id, self._node_share, None)
         self.ring.add_node(node_id)
         return node_id
@@ -738,17 +575,12 @@ class ClusterCacheService:
         points).  It comes back *empty* — its replicas still serve its
         keys; a subsequent :meth:`rebalance` (or read-repair traffic)
         refills it.  No fault plan carries over."""
-        self._ensure_open()
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise ValueError(f"unknown node id {node_id}")
-        if node.alive:
+        self._pool.ensure_open()
+        self._require_node(node_id)
+        if self._pool.alive(node_id):
             raise ValueError(f"node {node_id} is still alive")
-        try:
-            node.proc.close()
-        except ValueError:
-            pass
-        self._spawn_node(node_id, node.capacity, None)
+        capacity = self._pool.handshakes[node_id]["capacity"]
+        self._spawn_node(node_id, capacity, None)
 
     def remove_node(self, node_id: int) -> int:
         """Gracefully decommission a node; returns entries re-homed.
@@ -759,15 +591,13 @@ class ClusterCacheService:
         removal re-homes nothing; its data lives only in its
         replicas.)
         """
-        self._ensure_open()
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise ValueError(f"unknown node id {node_id}")
+        self._pool.ensure_open()
+        self._require_node(node_id)
         if len(self.ring) <= 1:
             raise ValueError("cannot remove the last ring node")
         entries: List[tuple] = []
-        if node.alive:
-            replies, _ = self._exchange({node_id: ("export",)})
+        if self._pool.alive(node_id):
+            replies = self._exchange({node_id: ("export",)})
             entries = replies.get(node_id, [])
         self.ring.remove_node(node_id)
         imports: Dict[int, List[tuple]] = {}
@@ -783,9 +613,7 @@ class ClusterCacheService:
                 nid: ("import", batch)
                 for nid, batch in imports.items()
             })
-        self._shutdown_node(node)
-        del self._nodes[node_id]
-        self._handshakes.pop(node_id, None)
+        self._pool.shutdown(node_id)
         self._count(rebalanced_keys=moved)
         return moved
 
@@ -796,45 +624,15 @@ class ClusterCacheService:
         """Graceful pre-shutdown pass: sweep expired entries on every
         live node and return a final stats snapshot.  Leaves the
         service open — :meth:`close` does the teardown."""
-        self._ensure_open()
+        self._pool.ensure_open()
         self.sweep()
         return self.stats()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Stop every node; idempotent, safe after crashes."""
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown(timeout)
-
-    def _teardown(self, timeout: float = 5.0) -> None:
-        for nid in sorted(self._nodes):
-            node = self._nodes[nid]
-            with node.lock:
-                if node.alive:
-                    try:
-                        node.conn.send(("close",))
-                    except (OSError, ValueError, BrokenPipeError):
-                        pass
-                try:
-                    node.conn.close()
-                except OSError:
-                    pass
-        deadline = time.monotonic() + timeout
-        for node in self._nodes.values():
-            node.proc.join(
-                timeout=max(0.0, deadline - time.monotonic())
-            )
-        for node in self._nodes.values():
-            if node.proc.is_alive():
-                node.proc.terminate()
-                node.proc.join(timeout=1.0)
-        for node in self._nodes.values():
-            node.alive = False
-            try:
-                node.proc.close()
-            except ValueError:
-                pass
+        """Stop every node; idempotent, safe after crashes, and bounded
+        even while a thread is stuck on a wedged node (see
+        :meth:`WorkerPool.close <repro.service.pool.WorkerPool.close>`)."""
+        self._pool.close(timeout)
 
     def __enter__(self) -> "ClusterCacheService":
         return self
@@ -849,9 +647,9 @@ class ClusterCacheService:
             pass
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
+        state = "closed" if self._pool.closed else "open"
         return (
             f"ClusterCacheService({self.policy_name}, "
-            f"capacity={self.capacity}, nodes={len(self._nodes)}, "
+            f"capacity={self.capacity}, nodes={len(self.node_ids)}, "
             f"replication={self.replication}, {state})"
         )

@@ -90,7 +90,8 @@ def run(scale: float = 1.0, seed: int = 0) -> List[Dict[str, Any]]:
         crashed_seen = False
         moved = 0
         for w in range(NUM_WINDOWS):
-            if w == RESTART_BEFORE_WINDOW and not service._node_alive(victim):
+            if (w == RESTART_BEFORE_WINDOW
+                    and not service.node_health()[victim]):
                 service.restart_node(victim)
                 moved = service.rebalance()
             before = service.stats()

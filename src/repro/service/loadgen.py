@@ -380,9 +380,53 @@ def build_service(
     capacity: int,
     policy: str,
     num_shards: int,
+    backend: str = "thread",
+    *,
+    transport: str = "pipe",
+    start_method: Optional[str] = None,
+    fault_plans=None,
+    replication: int = 2,
+    vnodes: int = 64,
     **kwargs: Any,
 ):
-    """One shard -> plain :class:`CacheService`, else sharded."""
+    """The one backend constructor behind ``serve`` and ``loadgen``.
+
+    ``backend="thread"`` (``serve`` calls it ``inproc``) builds a plain
+    :class:`CacheService` for one shard, else a
+    :class:`ShardedCacheService`.  ``"mp"`` builds an
+    :class:`~repro.service.mp.MPCacheService` with ``num_shards``
+    worker processes over ``transport``; ``"cluster"`` builds a
+    :class:`~repro.cluster.service.ClusterCacheService` with
+    ``num_shards`` node processes, ``replication`` copies per key and
+    ``vnodes`` ring points per node.  ``start_method`` and
+    ``fault_plans`` apply to both process backends.  ``kwargs`` reach
+    every shard's ``CacheService`` (picklable only for the process
+    backends).
+    """
+    if backend not in ("thread", "inproc", "mp", "cluster"):
+        raise ValueError(
+            f"backend must be 'thread', 'mp', or 'cluster', got {backend!r}"
+        )
+    if transport != "pipe" and backend != "mp":
+        raise ValueError(
+            f"transport={transport!r} requires backend='mp' "
+            f"(got backend={backend!r})"
+        )
+    if backend == "mp":
+        from repro.service.mp import MPCacheService
+
+        return MPCacheService(
+            capacity, policy, num_workers=num_shards, transport=transport,
+            start_method=start_method, fault_plans=fault_plans, **kwargs,
+        )
+    if backend == "cluster":
+        from repro.cluster.service import ClusterCacheService
+
+        return ClusterCacheService(
+            capacity, policy, num_nodes=num_shards, replication=replication,
+            vnodes=vnodes, start_method=start_method,
+            fault_plans=fault_plans, **kwargs,
+        )
     if num_shards == 1:
         return CacheService(capacity, policy, **kwargs)
     return ShardedCacheService(capacity, policy, num_shards=num_shards, **kwargs)
@@ -505,11 +549,6 @@ def run_scenario(
         raise ValueError(
             f"transport must be 'pipe' or 'shm', got {transport!r}"
         )
-    if transport != "pipe" and backend != "mp":
-        raise ValueError(
-            f"transport={transport!r} requires backend='mp' "
-            f"(got backend={backend!r})"
-        )
     if backend != "thread" and (
             metrics is not None or tracer is not None or instrument_policy):
         raise ValueError(
@@ -530,32 +569,17 @@ def run_scenario(
     intervals: List[Dict[str, Any]] = []
     service = net_server = None
     try:
-        if backend == "mp":
-            from repro.service.mp import MPCacheService
-
-            service = MPCacheService(
-                capacity, policy, num_workers=num_shards,
-                transport=transport, start_method=start_method,
-                checked=checked, default_ttl=ttl, fault_plans=fault_plans,
-            )
-        elif backend == "cluster":
-            from repro.cluster.service import ClusterCacheService
-
-            service = ClusterCacheService(
-                capacity, policy, num_nodes=num_shards,
-                replication=replication, vnodes=vnodes,
-                start_method=start_method, checked=checked,
-                default_ttl=ttl, fault_plans=fault_plans,
-            )
-        else:
-            service = build_service(
-                capacity, policy, num_shards,
-                checked=checked,
-                default_ttl=ttl,
-                metrics=metrics,
-                tracer=tracer,
-                instrument_policy=instrument_policy,
-            )
+        hooks = (
+            dict(metrics=metrics, tracer=tracer,
+                 instrument_policy=instrument_policy)
+            if backend == "thread" else {}
+        )
+        service = build_service(
+            capacity, policy, num_shards, backend,
+            transport=transport, start_method=start_method,
+            fault_plans=fault_plans, replication=replication,
+            vnodes=vnodes, checked=checked, default_ttl=ttl, **hooks,
+        )
         if wire:
             from repro.netsrv.server import ServerThread
 

@@ -32,11 +32,16 @@ The parent<->worker channel is pluggable
 (default) keeps the PR 5 duplex pipes, ``transport="shm"`` switches to
 the :mod:`~repro.service.shm` shared-memory ring buffers — same object
 protocol, same differential stats parity, an order of magnitude less
-per-message cost on multicore hosts.  The worker loop, crash watchdog,
-and metrics merge below are transport-agnostic.
+per-message cost on multicore hosts.  The worker loop and crash
+watchdog (in :mod:`repro.service.pool`) and the metrics merge below
+are transport-agnostic.
 
 Lifecycle and crash safety
 --------------------------
+
+Spawning, the pipelined exchange, crash detection and teardown live in
+:class:`~repro.service.pool.WorkerPool`, shared with the cluster
+backend; this module keeps the modulo routing and the reply policy.
 
 * Workers are **daemon** processes: a normally-exiting parent never
   leaves them behind.
@@ -55,10 +60,11 @@ Lifecycle and crash safety
   deadlock).
 * A worker that dies mid-operation surfaces as
   :class:`WorkerCrashedError` on the operation that touched it, never
-  as a hang.  Deterministic crash tests inject the
-  :data:`~repro.resilience.faults.WORKER_CRASH` fault kind via a
-  :class:`~repro.resilience.faults.FaultPlan` (the worker hard-exits
-  at a planned operation count, simulating SIGKILL).
+  as a hang, and every later operation routed to it raises the same
+  error at once, without touching its channel.  Deterministic crash
+  tests inject the :data:`~repro.resilience.faults.WORKER_CRASH` fault
+  kind via a :class:`~repro.resilience.faults.FaultPlan` (the worker
+  hard-exits at a planned operation count, simulating SIGKILL).
 
 Observability across processes
 ------------------------------
@@ -75,23 +81,21 @@ collects replace each worker's series rather than double-count.  See
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.service.pool import (
+    ServiceClosedError,
+    WorkerCrashedError,
+    WorkerPool,
+)
 from repro.service.sharded import (
+    ShardOpsMixin,
     aggregate_stats,
     partition_capacity,
+    scatter_gather,
     stable_key_hash,
 )
-from repro.service.transport import (
-    TRANSPORTS,
-    Transport,
-    TransportClosedError,
-    create_transport,
-)
+from repro.service.transport import TransportClosedError
 
 __all__ = [
     "MPCacheService",
@@ -103,157 +107,7 @@ __all__ = [
 _UNSET = object()
 
 
-class WorkerCrashedError(RuntimeError):
-    """A shard worker process died while (or before) serving an operation."""
-
-    def __init__(self, worker_id: int, pid: Optional[int],
-                 exitcode: Optional[int]) -> None:
-        self.worker_id = worker_id
-        self.pid = pid
-        self.exitcode = exitcode
-        super().__init__(
-            f"mp cache worker {worker_id} (pid {pid}) died "
-            f"(exitcode {exitcode}); the shard's contents are lost — "
-            f"close() the service or rebuild it"
-        )
-
-
-class ServiceClosedError(RuntimeError):
-    """Operation attempted on a closed :class:`MPCacheService`."""
-
-
-def _default_start_method() -> str:
-    """``fork`` where available (fast), else ``spawn`` (macOS/Windows)."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-def _worker_main(
-    conn,
-    worker_id: int,
-    capacity: int,
-    policy: str,
-    service_kwargs: Dict[str, Any],
-    collect_metrics: bool,
-    fault_plan,
-    transport: str = "pipe",
-) -> None:
-    """Worker process body: host one CacheService, serve the channel.
-
-    ``conn`` is whatever the parent's transport handed out — a pipe
-    ``Connection`` or a :class:`~repro.service.shm.ShmWorkerChannel`;
-    both expose ``recv``/``send``/``close`` and both raise
-    ``EOFError``/``OSError`` when the parent is gone (pipe EOF, or the
-    shm liveness poll), so the loop exits either way and the worker
-    never outlives its parent.
-    """
-    from repro.service.core import CacheService
-
-    registry = None
-    try:
-        if collect_metrics:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-        service = CacheService(
-            capacity,
-            policy,
-            metrics=registry,
-            metrics_labels=(
-                {"worker": str(worker_id), "transport": transport}
-                if registry is not None else None
-            ),
-            shard_id=worker_id,
-            **service_kwargs,
-        )
-    except BaseException as exc:  # constructor failed: report, don't hang
-        _send_error(conn, exc)
-        return
-    # Startup handshake: the parent blocks on this before serving ops.
-    conn.send(("ok", {
-        "policy_name": service.policy_name,
-        "supports_removal": service.supports_removal,
-        "capacity": capacity,
-        "pid": os.getpid(),
-    }))
-    clock = 0  # logical operation clock for deterministic fault windows
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break  # parent died or closed the channel: exit now
-        op = msg[0]
-        if op == "close":
-            break
-        clock += 1
-        if fault_plan is not None and fault_plan.active("worker-crash", clock):
-            # Simulate a hard crash: no reply, no cleanup, nonzero exit.
-            os._exit(13)
-        try:
-            if op == "get_many":
-                result = service.get_many(msg[1], msg[2])
-            elif op == "set_many":
-                has_ttl, ttl, size, items = msg[1], msg[2], msg[3], msg[4]
-                if has_ttl:
-                    result = service.set_many(items, ttl=ttl, size=size)
-                else:
-                    result = service.set_many(items, size=size)
-            elif op == "delete_many":
-                result = service.delete_many(msg[1])
-            elif op == "contains":
-                result = msg[1] in service
-            elif op == "len":
-                result = len(service)
-            elif op == "sweep":
-                result = service.sweep(msg[1])
-            elif op == "stats":
-                result = service.stats()
-            elif op == "export":
-                # Cluster rebalancing: ship (key, value, ttl, size)
-                # snapshots; remaining-TTL form survives the clock
-                # change between processes.
-                result = service.export_entries()
-            elif op == "import":
-                result = service.import_entries(msg[1])
-            elif op == "check":
-                service.check()
-                result = None
-            elif op == "metrics":
-                if registry is None:
-                    result = None
-                else:
-                    from repro.obs.exporters import export_dict
-
-                    result = export_dict(registry)
-            else:
-                raise ValueError(f"unknown mp cache op {op!r}")
-        except BaseException as exc:
-            _send_error(conn, exc)
-        else:
-            try:
-                conn.send(("ok", result))
-            except (OSError, BrokenPipeError):
-                break
-    try:
-        conn.close()
-    except OSError:
-        pass
-
-
-def _send_error(conn, exc: BaseException) -> None:
-    """Ship an exception to the parent; degrade to repr if unpicklable."""
-    try:
-        conn.send(("err", exc))
-    except Exception:
-        try:
-            conn.send(("err", RuntimeError(
-                f"{type(exc).__name__}: {exc} (original not picklable)"
-            )))
-        except (OSError, BrokenPipeError):
-            pass
-
-
-class MPCacheService:
+class MPCacheService(ShardOpsMixin):
     """N shard worker *processes* behind the one-service API.
 
     Exposes the same surface as
@@ -312,142 +166,48 @@ class MPCacheService:
         fault_plans: Optional[Dict[int, Any]] = None,
         **service_kwargs: Any,
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown mp transport {transport!r}; "
-                f"expected one of {TRANSPORTS}"
-            )
+        self._pool = WorkerPool(
+            policy, service_kwargs, label="MPCacheService",
+            process_name="mp-cache-worker", transport=transport,
+            transport_options=transport_options, start_method=start_method,
+            collect_metrics=collect_metrics,
+        )
         capacities = partition_capacity(capacity, num_workers)
         self.capacity = capacity
         self.num_workers = num_workers
         self.transport = transport
         self.collect_metrics = collect_metrics
-        self._closed = False
-        ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
-        self._channels: List[Transport] = []
-        self._procs: List[Any] = []
-        self._locks = [threading.Lock() for _ in range(num_workers)]
         try:
-            for i, cap in enumerate(capacities):
-                chan = create_transport(transport, ctx, transport_options)
-                try:
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(
-                            chan.worker_endpoint(), i, cap, policy,
-                            dict(service_kwargs), collect_metrics,
-                            (fault_plans or {}).get(i), transport,
-                        ),
-                        name=f"mp-cache-worker-{i}",
-                        daemon=True,
-                    )
-                    proc.start()
-                except BaseException:
-                    chan.close()  # never orphan a shm segment
-                    raise
-                chan.after_start(proc)
-                self._channels.append(chan)
-                self._procs.append(proc)
-            # Startup handshake doubles as constructor error propagation.
-            infos = [self._recv(i) for i in range(num_workers)]
+            infos = [
+                self._pool.spawn(i, cap, (fault_plans or {}).get(i))
+                for i, cap in enumerate(capacities)
+            ]
         except BaseException:
-            self._closed = True
-            self._teardown()
+            self._pool.close()
             raise
         self.policy_name = infos[0]["policy_name"]
         self.supports_removal = infos[0]["supports_removal"]
         self.worker_pids = [info["pid"] for info in infos]
 
     # ------------------------------------------------------------------
-    # Routing
+    # Routing and replies
     # ------------------------------------------------------------------
     def shard_for(self, key: Hashable) -> int:
         """The worker index ``key`` routes to (stable across restarts)."""
         return stable_key_hash(key) % self.num_workers
 
-    def _group_positions(self, keys: List[Hashable]) -> Dict[int, List[int]]:
-        groups: Dict[int, List[int]] = {}
-        for pos, key in enumerate(keys):
-            groups.setdefault(self.shard_for(key), []).append(pos)
-        return groups
-
-    # ------------------------------------------------------------------
-    # Channel plumbing
-    # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError(
-                "MPCacheService is closed; build a new one"
-            )
-
-    def _crashed(self, worker: int) -> WorkerCrashedError:
-        proc = self._procs[worker]
-        try:
-            proc.join(timeout=1.0)
-            pid, exitcode = proc.pid, proc.exitcode
-        except ValueError:
-            # The Process handle was already released by a concurrent
-            # teardown; fall back to the handshake-recorded pid.
-            pids = getattr(self, "worker_pids", None)
-            pid = pids[worker] if pids else None
-            exitcode = None
-        return WorkerCrashedError(worker, pid, exitcode)
-
-    def _recv(self, worker: int) -> Any:
-        """One raw reply from ``worker``; raises remote errors/crashes."""
-        try:
-            tag, payload = self._channels[worker].recv()
-        except (EOFError, OSError) as exc:
-            raise self._crashed(worker) from exc
-        if tag == "err":
-            raise payload
-        return payload
-
     def _exchange(self, msgs: Dict[int, tuple]) -> Dict[int, Any]:
-        """Send one message per worker, then await every reply.
+        """One pipelined pool exchange; a crash outranks a remote error.
 
-        Locks are acquired in worker-index order (deadlock-free against
-        concurrent callers) and all sends complete before the first
-        receive, so the involved workers run their sub-batches
-        concurrently.  If a worker crashes mid-exchange the remaining
-        replies are still drained — the surviving channels stay in
-        sync — and the crash is raised after the drain.
+        Either is raised only after the surviving workers' replies are
+        drained, so their channels stay in lockstep.
         """
-        self._ensure_open()
-        idxs = sorted(msgs)
-        for w in idxs:
-            self._locks[w].acquire()
-        try:
-            crash: Optional[WorkerCrashedError] = None
-            remote: Optional[BaseException] = None
-            results: Dict[int, Any] = {}
-            for w in idxs:
-                try:
-                    self._channels[w].send(msgs[w])
-                except (OSError, ValueError) as exc:
-                    if crash is None:
-                        crash = self._crashed(w)
-                        crash.__cause__ = exc
-                    msgs = {k: v for k, v in msgs.items() if k != w}
-            for w in idxs:
-                if w not in msgs:
-                    continue
-                try:
-                    results[w] = self._recv(w)
-                except WorkerCrashedError as exc:
-                    crash = crash or exc
-                except BaseException as exc:
-                    remote = remote or exc
-            if crash is not None:
-                raise crash
-            if remote is not None:
-                raise remote
-            return results
-        finally:
-            for w in reversed(idxs):
-                self._locks[w].release()
+        replies, crashed, remote = self._pool.exchange(msgs)
+        if crashed:
+            raise self._pool.crash_error(crashed[0])
+        if remote is not None:
+            raise remote
+        return replies
 
     def _exchange_all(self, msg: tuple) -> List[Any]:
         """The same message to every worker; replies in worker order."""
@@ -476,20 +236,14 @@ class MPCacheService:
 
     def get_many(self, keys: Iterable[Hashable],
                  default: Any = None) -> List[Any]:
-        """Batched get: **one pipe round-trip per involved worker**."""
-        keys = list(keys)
-        if not keys:
-            return []
-        groups = self._group_positions(keys)
-        replies = self._exchange({
-            w: ("get_many", [keys[p] for p in positions], default)
-            for w, positions in groups.items()
-        })
-        results: List[Any] = [default] * len(keys)
-        for w, positions in groups.items():
-            for p, v in zip(positions, replies[w]):
-                results[p] = v
-        return results
+        """Batched get: **one round-trip per involved worker**."""
+        return scatter_gather(
+            keys, self.shard_for,
+            lambda batches: self._exchange({
+                w: ("get_many", sub, default) for w, sub in batches.items()
+            }),
+            default,
+        )
 
     def set_many(
         self,
@@ -503,38 +257,27 @@ class MPCacheService:
         in-process ``_UNSET`` sentinel would not survive pickling.
         """
         items = list(items)
-        if not items:
-            return []
-        if ttl is not _UNSET and ttl is not None:
-            if ttl < 0:
-                raise ValueError(f"ttl must be >= 0, got {ttl}")
-        groups = self._group_positions([key for key, _ in items])
+        if items and ttl is not _UNSET and ttl is not None and ttl < 0:
+            raise ValueError(f"ttl must be >= 0, got {ttl}")
         has_ttl = ttl is not _UNSET
-        replies = self._exchange({
-            w: ("set_many", has_ttl, (ttl if has_ttl else None), size,
-                [items[p] for p in positions])
-            for w, positions in groups.items()
-        })
-        results: List[bool] = [False] * len(items)
-        for w, positions in groups.items():
-            for p, stored in zip(positions, replies[w]):
-                results[p] = stored
-        return results
+        wire_ttl = ttl if has_ttl else None
+        return scatter_gather(
+            items, lambda item: self.shard_for(item[0]),
+            lambda batches: self._exchange({
+                w: ("set_many", has_ttl, wire_ttl, size, sub)
+                for w, sub in batches.items()
+            }),
+            False,
+        )
 
     def delete_many(self, keys: Iterable[Hashable]) -> List[bool]:
-        keys = list(keys)
-        if not keys:
-            return []
-        groups = self._group_positions(keys)
-        replies = self._exchange({
-            w: ("delete_many", [keys[p] for p in positions])
-            for w, positions in groups.items()
-        })
-        results: List[bool] = [False] * len(keys)
-        for w, positions in groups.items():
-            for p, deleted in zip(positions, replies[w]):
-                results[p] = deleted
-        return results
+        return scatter_gather(
+            keys, self.shard_for,
+            lambda batches: self._exchange({
+                w: ("delete_many", sub) for w, sub in batches.items()
+            }),
+            False,
+        )
 
     def sweep(self, max_checks: Optional[int] = None) -> int:
         return sum(self._exchange_all(("sweep", max_checks)))
@@ -552,6 +295,9 @@ class MPCacheService:
     # ------------------------------------------------------------------
     # Statistics / observability
     # ------------------------------------------------------------------
+    def _shard_stats(self) -> List[Dict[str, Any]]:
+        return self._exchange_all(("stats",))
+
     def stats(self) -> Dict[str, Any]:
         """Aggregate stats across workers (same shape as sharded).
 
@@ -559,26 +305,12 @@ class MPCacheService:
         lock inside its own process, so the same no-tear guarantee as
         :meth:`ShardedCacheService.stats` holds across the pipe.
         """
-        per_shard = self._exchange_all(("stats",))
-        aggregate = aggregate_stats(per_shard)
+        aggregate = aggregate_stats(self._shard_stats())
         aggregate["policy"] = self.policy_name
         aggregate["capacity"] = self.capacity
         aggregate["num_shards"] = self.num_workers
         aggregate["backend"] = "mp"
         return aggregate
-
-    def ops_per_shard(self) -> List[int]:
-        """Operations (gets+sets+deletes) each worker has served."""
-        return [
-            s["gets"] + s["sets"] + s["deletes"]
-            for s in self._exchange_all(("stats",))
-        ]
-
-    def imbalance(self) -> float:
-        """Hottest worker's operation count over the mean."""
-        from repro.concurrency.sharding import imbalance_factor
-
-        return imbalance_factor(self.ops_per_shard())
 
     def merge_metrics(self, registry) -> int:
         """Pull every worker's metrics snapshot into ``registry``.
@@ -607,63 +339,13 @@ class MPCacheService:
     def close(self, timeout: float = 5.0) -> None:
         """Stop every worker; idempotent, safe after crashes.
 
-        Asks each live worker to exit, joins to a deadline, then
-        terminates — and as a last resort kills — anything still
-        alive, and only then releases the channels and Process
-        handles.  A channel whose lock is held by a thread stuck on a
-        wedged worker is *signalled*, not waited on: teardown must not
-        inherit the wedge, and terminating the worker is what breaks
-        the stuck thread out (its blocking read fails over to
-        :class:`WorkerCrashedError`).
+        See :meth:`WorkerPool.close <repro.service.pool.WorkerPool.close>`:
+        a channel whose lock is held by a thread stuck on a wedged
+        worker is *signalled*, not waited on, and terminating the
+        worker is what breaks the stuck thread out (its blocking read
+        fails over to :class:`WorkerCrashedError`).
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown(timeout)
-
-    def _teardown(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        # Phase 1: ask every worker out.  The channel lock may be held
-        # by a thread blocked on a worker that will never reply — use
-        # a bounded acquire and fall back to the transport's
-        # non-blocking close signal rather than deadlocking here.
-        for w, chan in enumerate(self._channels):
-            if self._locks[w].acquire(timeout=0.1):
-                try:
-                    chan.request_close()
-                    chan.signal_close()
-                finally:
-                    self._locks[w].release()
-            else:
-                chan.signal_close()
-        # Phase 2: join politely, then escalate.  terminate() (SIGTERM)
-        # also breaks any parent thread blocked on that worker's
-        # channel: the pipe delivers EOF, the shm wait notices the
-        # death on its next liveness poll.
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        # Phase 3: release channel resources (for shm this unlinks the
-        # segment) and the Process handles.
-        for chan in self._channels:
-            try:
-                chan.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            # Release the Process object's pipe/sentinel resources now
-            # rather than at GC time (no leaked fds or semaphores).
-            try:
-                proc.close()
-            except ValueError:
-                pass  # still alive after kill: give up quietly
+        self._pool.close(timeout)
 
     def __enter__(self) -> "MPCacheService":
         return self
@@ -678,7 +360,7 @@ class MPCacheService:
             pass
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
+        state = "closed" if self._pool.closed else "open"
         return (
             f"MPCacheService({self.policy_name}, capacity={self.capacity}, "
             f"workers={self.num_workers}, {state})"

@@ -20,7 +20,9 @@ digest values to guard this.
 from __future__ import annotations
 
 from hashlib import blake2b
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple,
+)
 
 from repro.service.core import CacheService
 
@@ -91,7 +93,67 @@ def partition_capacity(capacity: int, num_shards: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(num_shards)]
 
 
-class ShardedCacheService:
+def scatter_gather(
+    items: Iterable[Any],
+    route: Callable[[Any], int],
+    call: Callable[[Dict[int, List[Any]]], Dict[int, List[Any]]],
+    fill: Any,
+) -> List[Any]:
+    """One batched call across shards, results back in input order.
+
+    ``route`` maps an item to its shard; ``call`` receives
+    ``{shard: [its items, in input order]}`` — one entry per involved
+    shard — and returns ``{shard: [one result per item]}``.  Keeping
+    each shard's items in input order is what makes per-shard counters
+    match the per-key loop exactly.
+    """
+    items = list(items)
+    if not items:
+        return []
+    groups: Dict[int, List[int]] = {}
+    for pos, item in enumerate(items):
+        groups.setdefault(route(item), []).append(pos)
+    replies = call({
+        shard: [items[p] for p in positions]
+        for shard, positions in groups.items()
+    })
+    results: List[Any] = [fill] * len(items)
+    for shard, positions in groups.items():
+        for p, result in zip(positions, replies[shard]):
+            results[p] = result
+    return results
+
+
+class ShardOpsMixin:
+    """``ops_per_shard`` and ``imbalance`` for every sharded backend.
+
+    Subclasses provide ``_shard_stats()``: one snapshot per shard in
+    shard order, carrying at least ``gets``/``sets``/``deletes``, or
+    ``None`` for a shard that is down.
+    """
+
+    def _shard_stats(self) -> List[Optional[Dict[str, Any]]]:
+        raise NotImplementedError
+
+    def ops_per_shard(self) -> List[int]:
+        """Operations (gets+sets+deletes) each shard has served; 0 for a
+        shard that is down (its counters died with it)."""
+        return [0 if s is None else _served(s) for s in self._shard_stats()]
+
+    def imbalance(self) -> float:
+        """Hottest shard's operation count over the mean across the
+        shards that are up (1.0 = balanced)."""
+        from repro.concurrency.sharding import imbalance_factor
+
+        ops = [_served(s) for s in self._shard_stats() if s is not None]
+        return imbalance_factor(ops) if ops else 1.0
+
+
+def _served(snapshot: Dict[str, Any]) -> int:
+    return snapshot["gets"] + snapshot["sets"] + snapshot["deletes"]
+
+
+class ShardedCacheService(ShardOpsMixin):
     """N independent :class:`CacheService` shards behind one API.
 
     Exposes the same ``get``/``set``/``delete``/``sweep``/``stats``
@@ -180,30 +242,17 @@ class ShardedCacheService:
     # ------------------------------------------------------------------
     # Batched operations (per-shard request coalescing)
     # ------------------------------------------------------------------
-    def _group_positions(self, keys: List[Hashable]) -> Dict[int, List[int]]:
-        """shard index -> positions in ``keys`` routed there (order kept)."""
-        groups: Dict[int, List[int]] = {}
-        for pos, key in enumerate(keys):
-            groups.setdefault(self.shard_for(key), []).append(pos)
-        return groups
-
     def get_many(self, keys: Iterable[Hashable],
                  default: Any = None) -> List[Any]:
-        """Batched :meth:`get`: one lock acquisition per shard per batch.
-
-        Keys are coalesced by shard (preserving their relative order
-        within each shard, so per-shard counters match the per-key
-        loop exactly) and results are reassembled in input order.
-        """
-        keys = list(keys)
-        results: List[Any] = [default] * len(keys)
-        for idx, positions in self._group_positions(keys).items():
-            values = self._shards[idx].get_many(
-                [keys[p] for p in positions], default
-            )
-            for p, v in zip(positions, values):
-                results[p] = v
-        return results
+        """Batched :meth:`get`: one lock acquisition per shard per batch."""
+        return scatter_gather(
+            keys, self.shard_for,
+            lambda batches: {
+                i: self._shards[i].get_many(sub, default)
+                for i, sub in batches.items()
+            },
+            default,
+        )
 
     def set_many(
         self,
@@ -212,31 +261,26 @@ class ShardedCacheService:
         size: int = 1,
     ) -> List[bool]:
         """Batched :meth:`set`: pairs coalesced into one call per shard."""
-        items = list(items)
-        keys = [key for key, _ in items]
-        results: List[bool] = [False] * len(items)
-        for idx, positions in self._group_positions(keys).items():
-            shard = self._shards[idx]
-            sub = [items[p] for p in positions]
-            if ttl is _UNSET:
-                stored = shard.set_many(sub, size=size)
-            else:
-                stored = shard.set_many(sub, ttl=ttl, size=size)
-            for p, s in zip(positions, stored):
-                results[p] = s
-        return results
+        extra = {} if ttl is _UNSET else {"ttl": ttl}
+        return scatter_gather(
+            items, lambda item: self.shard_for(item[0]),
+            lambda batches: {
+                i: self._shards[i].set_many(sub, size=size, **extra)
+                for i, sub in batches.items()
+            },
+            False,
+        )
 
     def delete_many(self, keys: Iterable[Hashable]) -> List[bool]:
         """Batched :meth:`delete`: keys coalesced into one call per shard."""
-        keys = list(keys)
-        results: List[bool] = [False] * len(keys)
-        for idx, positions in self._group_positions(keys).items():
-            deleted = self._shards[idx].delete_many(
-                [keys[p] for p in positions]
-            )
-            for p, d in zip(positions, deleted):
-                results[p] = d
-        return results
+        return scatter_gather(
+            keys, self.shard_for,
+            lambda batches: {
+                i: self._shards[i].delete_many(sub)
+                for i, sub in batches.items()
+            },
+            False,
+        )
 
     def sweep(self, max_checks: Optional[int] = None) -> int:
         return sum(shard.sweep(max_checks) for shard in self._shards)
@@ -254,19 +298,10 @@ class ShardedCacheService:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def ops_per_shard(self) -> List[int]:
-        """Operations (gets+sets+deletes) each shard has served."""
-        counts = []
-        for shard in self._shards:
-            c = shard.counters
-            counts.append(c.gets + c.sets + c.deletes)
-        return counts
-
-    def imbalance(self) -> float:
-        """Hottest shard's operation count over the mean (1.0 = balanced)."""
-        from repro.concurrency.sharding import imbalance_factor
-
-        return imbalance_factor(self.ops_per_shard())
+    def _shard_stats(self) -> List[Dict[str, Any]]:
+        # Lock-free counter reads: the imbalance gauge calls this at
+        # metrics-collect time and must not take the shard locks.
+        return [shard.counters.as_dict() for shard in self._shards]
 
     def stats(self) -> Dict[str, Any]:
         """Aggregate counters plus the per-shard breakdown.

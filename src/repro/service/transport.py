@@ -1,10 +1,14 @@
-"""Pluggable parent<->worker transports for the mp cache backend.
+"""Pluggable parent<->worker transports for the process backends.
 
-:class:`~repro.service.mp.MPCacheService` talks to each shard worker
-through exactly one duplex channel in strict request/response ping-pong
-(one outstanding message per worker, guarded by a parent-side lock).
-This module abstracts *how* those messages move so the worker loop,
-crash watchdog, and metrics merge in ``mp.py`` stay transport-agnostic:
+:class:`~repro.service.pool.WorkerPool` — the parent side of
+:class:`~repro.service.mp.MPCacheService` and
+:class:`~repro.cluster.service.ClusterCacheService` — talks to each
+worker through exactly one duplex channel in strict request/response
+ping-pong (one outstanding message per worker, guarded by a
+parent-side lock).  This module abstracts *how* those messages move so
+the worker loop, crash watchdog, and teardown in ``pool.py`` stay
+transport-agnostic.  The mp backend chooses a transport; cluster nodes
+always use the pipe.
 
 * ``pipe`` — :class:`PipeTransport`, the PR 5 default: a duplex
   ``multiprocessing.Pipe`` carrying pickled ``(tag, payload)`` tuples.
@@ -24,8 +28,9 @@ tests.
 
 A transport failure (peer gone, segment torn down) surfaces as
 :class:`TransportClosedError`, an :class:`OSError` subclass — the
-existing ``except (EOFError, OSError)`` crash paths in ``mp.py`` and
-the worker loop handle it without knowing which transport raised.
+``except (EOFError, OSError)`` crash paths in ``pool.py`` (parent
+exchange and worker loop alike) handle it without knowing which
+transport raised.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ TRANSPORTS: Tuple[str, ...] = ("pipe", "shm")
 class TransportClosedError(OSError):
     """The peer died or the channel was shut down mid-wait.
 
-    Subclasses :class:`OSError` deliberately: parent-side ``_recv``
-    converts any ``OSError`` into ``WorkerCrashedError``, and the
-    worker loop treats it like pipe EOF (exit quietly).
+    Subclasses :class:`OSError` deliberately: the pool's exchange
+    marks a worker down on any ``OSError``, and the worker loop treats
+    it like pipe EOF (exit quietly).
     """
 
 

@@ -396,3 +396,23 @@ class TestFig08Native:
         assert [r["config"] for r in rows] == [
             "s3fifo mp b=64", "lru mp b=64", "lru thread global-lock"]
         assert all(r["n1"] == 0.1 and r["speedup"] == 4.0 for r in rows)
+
+
+@pytest.mark.cluster
+class TestClusterChurn:
+    def test_rows_pinned(self):
+        """Every client-visible count of one crash/restart cycle is
+        deterministic per (scale, seed); only latencies vary."""
+        from repro.experiments import cluster_churn
+
+        rows = cluster_churn.run(scale=0.1, seed=0)
+        fields = ("phase", "ops", "hit_ratio", "nodes_up", "failovers",
+                  "read_repairs", "rebalanced")
+        assert [tuple(row[f] for f in fields) for row in rows] == [
+            ("healthy", 200, 0.37, 3, 0, 2, 0),
+            ("healthy", 200, 0.48, 3, 0, 8, 0),
+            ("degraded", 200, 0.565, 2, 6, 16, 0),
+            ("degraded", 200, 0.48, 2, 124, 14, 0),
+            ("recovered", 200, 0.48, 3, 0, 9, 9),
+            ("recovered", 200, 0.53, 3, 0, 7, 0),
+        ]

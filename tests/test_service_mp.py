@@ -210,14 +210,26 @@ class _Stall:
 
 class TestWedgedWorker:
     """Regression: close() once waited on a worker that would never
-    reply — the join had no deadline and the zombie leaked."""
+    reply — the join had no deadline and the zombie leaked.  The
+    cluster kept that unbounded wait on the channel lock until it
+    shared mp's teardown."""
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_close_terminates_wedged_worker(self, transport):
+    @pytest.mark.parametrize("backend,transport", [
+        pytest.param("mp", "pipe", id="pipe"),
+        pytest.param("mp", "shm", id="shm"),
+        pytest.param("cluster", "pipe", id="cluster",
+                     marks=pytest.mark.cluster),
+    ])
+    def test_close_terminates_wedged_worker(self, backend, transport):
         import threading
 
-        svc = MPCacheService(32, "s3fifo", num_workers=2,
-                             transport=transport)
+        if backend == "mp":
+            svc = MPCacheService(32, "s3fifo", num_workers=2,
+                                 transport=transport)
+        else:
+            from repro.cluster import ClusterCacheService
+
+            svc = ClusterCacheService(32, "s3fifo", num_nodes=2)
         svc.set("a", 1)
 
         def wedge():
@@ -282,6 +294,34 @@ class TestCrashSafety:
             alive = [k for k in survivors if svc.shard_for(k) == 1]
             assert alive, "expected some keys on the surviving worker"
             assert svc.get(alive[-1]) is not None
+        finally:
+            svc.close()
+        assert_no_orphans()
+
+    @pytest.mark.parametrize(
+        "transport", ["pipe", pytest.param("shm", marks=pytest.mark.shm)]
+    )
+    def test_dead_worker_fails_fast(self, transport):
+        """Once a worker is seen dead, every later op routed to it
+        raises the same crash without touching its channel — over shm
+        a send into the dead ring used to wait out a liveness poll."""
+        svc = MPCacheService(
+            64, "s3fifo", num_workers=2, transport=transport,
+            fault_plans={0: self.crash_plan(at=1)},
+        )
+        try:
+            with pytest.raises(WorkerCrashedError) as first:
+                svc.set_many([(k, k) for k in range(20)])
+            dead = [k for k in range(1000) if svc.shard_for(k) == 0][:50]
+            start = time.monotonic()
+            for key in dead:
+                with pytest.raises(WorkerCrashedError) as exc:
+                    svc.get(key)
+                assert (exc.value.worker_id, exc.value.pid,
+                        exc.value.exitcode) == (
+                    0, first.value.pid, first.value.exitcode)
+            assert time.monotonic() - start < 1.0
+            assert first.value.exitcode == 13
         finally:
             svc.close()
         assert_no_orphans()

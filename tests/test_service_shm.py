@@ -308,7 +308,7 @@ class TestShmLifecycle:
 
         svc = MPCacheService(32, "s3fifo", num_workers=2, transport="shm")
         svc.set("a", 1)
-        names = [chan._shm.name for chan in svc._channels]
+        names = [chan._shm.name for chan in svc._pool._channels.values()]
         svc.close()
         svc.close()
         for name in names:
@@ -325,7 +325,7 @@ class TestShmLifecycle:
     def test_heartbeat_advances_while_worker_lives(self):
         with MPCacheService(32, "s3fifo", num_workers=1,
                             transport="shm") as svc:
-            chan = svc._channels[0]
+            chan = svc._pool._channels[0]
             svc.set("a", 1)
             first = chan.heartbeat()
             svc.get("a")
@@ -341,4 +341,4 @@ class TestShmLifecycle:
         with pytest.raises(ServiceClosedError):
             svc.get("a")
         with pytest.raises(TransportClosedError):
-            svc._channels[0].send(("get", "a"))
+            svc._pool._channels[0].send(("get", "a"))
