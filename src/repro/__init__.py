@@ -36,9 +36,11 @@ from repro.cache import EvictionPolicy, create_policy, policy_names
 from repro.cluster import ClusterCacheService, HashRing
 from repro.core import (
     FastS3FifoCache,
+    QueueType,
     S3FifoCache,
     S3FifoDCache,
     S3FifoRingCache,
+    S3QueueVariantCache,
     S3SieveCache,
 )
 from repro.resilience import (
@@ -67,6 +69,8 @@ __all__ = [
     "FastS3FifoCache",
     "S3FifoRingCache",
     "S3SieveCache",
+    "S3QueueVariantCache",
+    "QueueType",
     "CheckedPolicy",
     "FaultPlan",
     "InvariantViolation",

@@ -96,12 +96,14 @@ for _cls in (
 
 def _register_core() -> None:
     # Imported lazily to avoid a circular import (core depends on cache).
-    from repro.core.s3fifo import S3FifoCache
+    from repro.core.s3fifo import (
+        S3FifoCache,
+        S3QueueVariantCache,
+        S3SieveCache,
+    )
     from repro.core.s3fifo_d import S3FifoDCache
     from repro.core.s3fifo_fast import FastS3FifoCache
     from repro.core.s3fifo_ring import S3FifoRingCache
-    from repro.core.s3sieve import S3SieveCache
-    from repro.core.variants import S3QueueVariantCache
 
     for cls in (
         S3FifoCache,

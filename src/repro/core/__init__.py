@@ -1,11 +1,14 @@
 """The paper's primary contribution: S3-FIFO and its variants."""
 
-from repro.core.s3fifo import S3FifoCache
+from repro.core.s3fifo import (
+    QueueType,
+    S3FifoCache,
+    S3QueueVariantCache,
+    S3SieveCache,
+)
 from repro.core.s3fifo_d import S3FifoDCache
 from repro.core.s3fifo_fast import FastS3FifoCache
 from repro.core.s3fifo_ring import S3FifoRingCache
-from repro.core.s3sieve import S3SieveCache
-from repro.core.variants import QueueType, S3QueueVariantCache
 from repro.core.demotion import DemotionStats, DemotionTracker
 
 __all__ = [

@@ -57,6 +57,10 @@ class S3FifoDCache(S3FifoCache):
 
     # ------------------------------------------------------------------
     @property
+    def is_algorithm1(self) -> bool:
+        return False  # S and M trade capacity at run time
+
+    @property
     def resizes(self) -> int:
         """Number of queue-size adaptations performed so far."""
         return self._resizes

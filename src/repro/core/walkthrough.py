@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Sequence
 
-from repro.core.s3fifo import S3FifoCache
+from repro.core.s3fifo import QueueType, S3FifoCache
 
 
 class WalkthroughStep:
@@ -53,6 +53,13 @@ def _ghost_keys(cache: S3FifoCache) -> List[Hashable]:
     return list(cache.ghost._present)
 
 
+def _main_keys(cache: S3FifoCache) -> List[Hashable]:
+    if cache._main_type is QueueType.SIEVE:
+        # SIEVE examines M from its hand, which need not be the tail.
+        return [*cache._lap, *cache._passed]
+    return list(cache._main)
+
+
 def walkthrough(
     trace: Sequence[Hashable],
     capacity: int,
@@ -61,8 +68,9 @@ def walkthrough(
 ) -> List[WalkthroughStep]:
     """Replay ``trace`` and capture S/M/G after every request.
 
-    Queue listings run tail (next eviction candidate) to head.  Pass an
-    existing ``cache`` to continue a walkthrough mid-stream.
+    Queue listings start at the next eviction candidate: the tail, or a
+    SIEVE main queue's hand.  Pass an existing ``cache`` (any S3 queue
+    discipline) to continue a walkthrough mid-stream.
     """
     if cache is None:
         cache = S3FifoCache(capacity, **kwargs)
@@ -80,7 +88,7 @@ def walkthrough(
                 key=key,
                 hit=hit,
                 small=list(cache._small),
-                main=list(cache._main),
+                main=_main_keys(cache),
                 ghost=_ghost_keys(cache),
                 freqs=freqs,
             )

@@ -30,15 +30,7 @@ VARIANTS: List[Dict[str, Any]] = [
 
 
 def _variant_kwargs(variant: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.variants import QueueType
-
-    kwargs: Dict[str, Any] = {
-        "small_type": QueueType(variant["small_type"]),
-        "main_type": QueueType(variant["main_type"]),
-    }
-    if variant.get("promote_on_hit"):
-        kwargs["promote_on_hit"] = True
-    return kwargs
+    return {k: v for k, v in variant.items() if k != "label"}
 
 
 def run(

@@ -12,12 +12,13 @@ observable behaviour against the interface contract on every request:
   the resident object count;
 
 plus structural deep checks for policies whose internals it knows
-(S3-FIFO's S/M/ghost queues, FIFO, LRU):
+(S3-FIFO's S/M/ghost queues under every queue discipline, FIFO, LRU):
 
 * queue byte sums match the policy's running ``*_used`` counters;
 * no key is resident in both S and M;
 * the ghost queue holds no resident key and respects its capacity;
-* per-object frequencies stay within ``freq_cap``.
+* per-object frequencies stay within ``freq_cap``;
+* a SIEVE main queue's hand covers exactly M, in M's order.
 
 Cheap checks run on every access; deep checks run every ``deep_every``
 accesses and on :meth:`CheckedPolicy.check`.  Violations raise
@@ -163,6 +164,7 @@ class CheckedPolicy:
             self._fail("object-count", f"len() returned {count}")
         from repro.core.s3fifo import S3FifoCache
 
+        # Every S3 discipline keeps all of S and M in ``_small``/``_main``.
         # Structural checks first: a structural break (say, a key
         # duplicated into both queues) also skews the generic counters,
         # and the specific diagnostic is the useful one.
@@ -200,11 +202,21 @@ class CheckedPolicy:
             )
 
     def _check_s3fifo(self, p) -> None:
+        from repro.core.s3fifo import QueueType
+
         duplicates = p._small.keys() & p._main.keys()
         if duplicates:
             self._fail(
                 "duplicate-key",
                 f"keys resident in both S and M: {sorted(duplicates)[:5]}",
+            )
+        # A SIEVE M's hand bookkeeping must list M in M's own order.
+        hand = [*p._passed, *p._lap]
+        if hand != (list(p._main) if p._main_type is QueueType.SIEVE else []):
+            self._fail(
+                "sieve-hand",
+                f"hand order ({len(hand)} keys) differs from M's "
+                f"({len(p._main)} keys)",
             )
         ghost = p._ghost
         if len(ghost) > ghost.capacity:

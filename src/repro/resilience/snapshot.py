@@ -53,7 +53,12 @@ def _ghost_state(ghost: GhostFifo) -> dict:
 
 
 def snapshot_policy(policy: EvictionPolicy) -> dict:
-    """Capture the complete eviction state of an S3-FIFO or LRU cache."""
+    """Capture the complete eviction state of an S3-FIFO or LRU cache.
+
+    Any S3 instance that runs Algorithm 1 qualifies (a default
+    ``s3variant`` too; it restores as :class:`S3FifoCache`).  Other
+    queue disciplines raise :class:`SnapshotError`.
+    """
     from repro.core.s3fifo import S3FifoCache
 
     stats = policy.stats.as_dict()
@@ -64,7 +69,7 @@ def snapshot_policy(policy: EvictionPolicy) -> dict:
         "stats": stats,
         "stats_checksum": policy.stats.checksum(),
     }
-    if type(policy) is S3FifoCache:
+    if isinstance(policy, S3FifoCache) and policy.is_algorithm1:
         base.update(
             policy="s3fifo",
             s_cap=policy._s_cap,
@@ -93,7 +98,7 @@ def snapshot_policy(policy: EvictionPolicy) -> dict:
         return base
     raise SnapshotError(
         f"snapshot not supported for {type(policy).__name__}; "
-        "supported: S3FifoCache, LruCache"
+        "supported: S3FifoCache running Algorithm 1, LruCache"
     )
 
 

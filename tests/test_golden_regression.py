@@ -69,6 +69,19 @@ GOLDEN = {
 }
 
 
+#: The seven non-default §6.3 configurations of ``s3variant`` (small
+#: queue, main queue, promote-on-hit) on the same trace and capacity.
+GOLDEN_S3VARIANT = {
+    ("fifo", "fifo", True): 0.344600,
+    ("fifo", "lru", False): 0.359640,
+    ("fifo", "lru", True): 0.359640,
+    ("lru", "fifo", False): 0.344560,
+    ("lru", "fifo", True): 0.344560,
+    ("lru", "lru", False): 0.359800,
+    ("lru", "lru", True): 0.359800,
+}
+
+
 @pytest.fixture(scope="module")
 def golden_trace():
     return zipf_trace(num_objects=1000, num_requests=25_000, alpha=1.0,
@@ -89,6 +102,21 @@ def test_golden_miss_ratio(policy_name, golden_trace):
         f"{policy_name} decisions changed: {result.miss_ratio:.6f} != "
         f"{GOLDEN[policy_name]:.6f} (regenerate GOLDEN if intentional)"
     )
+
+
+@pytest.mark.parametrize(
+    "config", sorted(GOLDEN_S3VARIANT), ids=lambda c: "S={},M={},hit-promote={}".format(*c)
+)
+def test_golden_s3variant_configs(config, golden_trace):
+    small, main, promote = config
+    policy = create_policy(
+        "s3variant", capacity=100, small_type=small, main_type=main,
+        promote_on_hit=promote,
+    )
+    result = simulate(policy, list(golden_trace))
+    assert result.miss_ratio == pytest.approx(
+        GOLDEN_S3VARIANT[config], abs=1e-9
+    ), f"{policy.variant_name} decisions changed: {result.miss_ratio:.6f}"
 
 
 def test_golden_covers_every_registered_policy():

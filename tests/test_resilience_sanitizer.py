@@ -9,7 +9,7 @@ with a diagnostic naming the violated invariant.
 import pytest
 
 from repro.cache.registry import policy_names
-from repro.core.s3fifo import S3FifoCache
+from repro.core.s3fifo import S3FifoCache, S3SieveCache
 from repro.resilience.sanitizer import (
     CheckedPolicy,
     InvariantViolation,
@@ -53,8 +53,8 @@ def test_run_checked_returns_hits(small_zipf):
 class TestCorruptionDetection:
     """Deliberately break internals; the sanitizer must name the crime."""
 
-    def _warmed(self, deep_every=1):
-        policy = S3FifoCache(capacity=50)
+    def _warmed(self, deep_every=1, cls=S3FifoCache):
+        policy = cls(capacity=50)
         checked = CheckedPolicy(policy, deep_every=deep_every)
         for key in range(200):
             checked.access(key % 80)
@@ -77,6 +77,21 @@ class TestCorruptionDetection:
         key, entry = next(iter(policy._small.items()))
         policy._main[key] = entry  # the S/M disjointness the paper relies on
         with pytest.raises(InvariantViolation, match="duplicate-key"):
+            checked.check()
+
+    def test_duplicate_key_across_queues_s3sieve(self):
+        policy, checked = self._warmed(cls=S3SieveCache)
+        key, entry = next(iter(policy._small.items()))
+        policy._main[key] = entry
+        policy._lap[key] = entry  # the hand agrees, so only S/M overlap
+        with pytest.raises(InvariantViolation, match="duplicate-key"):
+            checked.check()
+
+    def test_sieve_hand_out_of_step_with_main(self):
+        policy, checked = self._warmed(cls=S3SieveCache)
+        key = next(iter(policy._main))
+        (policy._lap if key in policy._lap else policy._passed).pop(key)
+        with pytest.raises(InvariantViolation, match="sieve-hand"):
             checked.check()
 
     def test_ghost_holds_resident_key(self):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cache.base import CacheStats
 from repro.cache.lru import LruCache
+from repro.cache.registry import create_policy
 from repro.core.s3fifo import S3FifoCache
-from repro.core.s3sieve import S3SieveCache
 from repro.resilience.faults import CRASH, FaultPlan
 from repro.resilience.snapshot import (
     CrashRecoveryResult,
@@ -58,6 +58,8 @@ class TestSnapshotRoundtrip:
     @pytest.mark.parametrize("factory", [
         lambda: S3FifoCache(capacity=100),
         lambda: LruCache(capacity=100),
+        # Its defaults are Algorithm 1, so it snapshots as s3fifo.
+        lambda: create_policy("s3variant", capacity=100),
     ])
     def test_restored_cache_behaves_identically(self, factory):
         policy, _trace = _warm(factory())
@@ -103,8 +105,19 @@ class TestSnapshotRoundtrip:
         assert clone.used == policy.used
 
     def test_unsupported_policy_errors(self):
-        with pytest.raises(SnapshotError, match="not supported"):
-            snapshot_policy(S3SieveCache(capacity=50))
+        """Only Algorithm 1 snapshots as s3fifo; the class's other queue
+        disciplines (and the adaptive subclass) must not be captured as
+        it."""
+        for name, kwargs in [
+            ("s3sieve", {}),
+            ("s3variant", {"main_type": "lru"}),
+            ("s3variant", {"small_type": "lru"}),
+            ("s3variant", {"promote_on_hit": True}),
+            ("s3fifo-d", {}),
+        ]:
+            policy = create_policy(name, capacity=50, **kwargs)
+            with pytest.raises(SnapshotError, match="not supported"):
+                snapshot_policy(policy)
 
     def test_bad_version_rejected(self):
         policy, _ = _warm(S3FifoCache(capacity=100))

@@ -4,7 +4,12 @@ import pytest
 
 from repro.cache.fifo import FifoCache
 from repro.cache.lru import LruCache
-from repro.core.s3fifo import S3FifoCache
+from repro.core.s3fifo import (
+    QueueType,
+    S3FifoCache,
+    S3QueueVariantCache,
+    S3SieveCache,
+)
 from repro.sim.simulator import simulate
 
 
@@ -22,17 +27,31 @@ class TestConstruction:
         cache = S3FifoCache(100, ghost_entries=7)
         assert cache.ghost.capacity == 7
 
-    def test_invalid_params(self):
+    @pytest.mark.parametrize(
+        "cls",
+        [S3FifoCache, S3QueueVariantCache, S3SieveCache],
+        ids=lambda cls: cls.name,
+    )
+    def test_invalid_params(self, cls):
         with pytest.raises(ValueError):
-            S3FifoCache(100, small_ratio=0.0)
+            cls(100, small_ratio=0.0)
         with pytest.raises(ValueError):
-            S3FifoCache(100, small_ratio=1.0)
+            cls(100, small_ratio=1.0)
         with pytest.raises(ValueError):
-            S3FifoCache(100, freq_cap=0)
+            cls(100, freq_cap=0)
         with pytest.raises(ValueError):
-            S3FifoCache(100, move_to_main_threshold=-1)
+            cls(100, move_to_main_threshold=-1)
         with pytest.raises(ValueError):
-            S3FifoCache(0)
+            cls(0)
+        with pytest.raises(ValueError):
+            cls(100, small_type=QueueType.SIEVE)
+        with pytest.raises(ValueError):
+            cls(100, small_type="clock")
+
+    def test_queue_types_accept_values(self):
+        cache = S3QueueVariantCache(100, small_type="lru", main_type="sieve")
+        assert cache.variant_name == "S3(S=lru,M=sieve)"
+        assert S3SieveCache(100).variant_name == "S3(S=fifo,M=sieve)"
 
     def test_tiny_cache_still_valid(self):
         cache = S3FifoCache(2)

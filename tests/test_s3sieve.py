@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.s3fifo import S3FifoCache
-from repro.core.s3sieve import S3SieveCache
+from repro.core.s3fifo import S3FifoCache, S3SieveCache
+from repro.resilience.sanitizer import CheckedPolicy
 from repro.sim.simulator import simulate
 from repro.traces.datasets import generate_dataset_trace
 from repro.traces.synthetic import zipf_trace
@@ -56,6 +56,30 @@ class TestBehaviour:
         for i in range(100):
             cache.access(i, size=7)
             assert cache.used <= 100
+
+
+class TestRemoval:
+    def test_remove_key_under_hand(self):
+        """Deleting the object the SIEVE hand rests on moves the hand to
+        the next object; later evictions keep every invariant."""
+        cache = S3SieveCache(50)
+        keys = zipf_trace(400, 20_000, alpha=0.8, seed=5)
+        for n, key in enumerate(keys):
+            cache.access(key)
+            if cache._passed and len(cache._lap) > 1:
+                break  # the hand rests mid-queue
+        else:
+            pytest.fail("the SIEVE hand never left the tail")
+        under_hand, after = list(cache._lap)[:2]
+        assert cache.remove(under_hand)
+        assert under_hand not in cache
+        assert next(iter(cache._lap)) == after
+        checked = CheckedPolicy(cache, deep_every=1)
+        for key in keys[n + 1 : n + 1001]:
+            checked.access(key)
+        checked.check()
+        resident = [*cache._small.values(), *cache._main.values()]
+        assert cache.used == sum(entry.size for entry in resident)
 
 
 class TestPaperSuggestion:

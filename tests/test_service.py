@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cache.registry import create_policy
+from repro.cache.registry import create_policy, removal_capable_policies
 from repro.service import CacheService, RemovalUnsupportedError
 from repro.sim.request import Request
 from repro.sim.simulator import simulate
 from repro.traces.synthetic import zipf_trace
 
-REMOVABLE = ["fifo", "lru", "lru-fast", "s3fifo", "s3fifo-fast"]
+REMOVABLE = removal_capable_policies()
 
 
 class TestRemoveProtocol:
@@ -113,6 +113,20 @@ class TestCacheService:
         assert len(svc) == 4
         assert svc.counters.evictions == 2
         assert svc.get(0) is None  # FIFO evicted the oldest
+        svc.check()
+
+    def test_s3sieve_backend(self):
+        """Every S3 discipline supports removal, so the service runs them."""
+        svc = CacheService(20, policy="s3sieve")
+        for key in range(60):
+            svc.set(key, key * 10)
+            svc.get(key % 7)
+        assert svc.get(3) == 30
+        assert svc.delete(3)
+        assert svc.get(3) is None
+        assert not svc.delete(3)
+        assert svc.set(3, "back")
+        assert svc.get(3) == "back"
         svc.check()
 
     def test_overwrite_updates_value(self):

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.registry import create_policy
+from repro.cache.registry import create_policy, policy_names
 from repro.sim import vector
 from repro.sim.request import Request
 from repro.sim.simulator import simulate, simulate_compiled
@@ -268,6 +268,39 @@ def test_vector_rejects_ineligible():
         vector_simulate(warm, trace)
     # Raw (uncompiled) traces never qualify.
     assert not vector_eligible(create_policy("fifo", 60), ZIPF)
+
+
+EVERY_POLICY_TRACE = compile_trace(
+    zipf_trace(num_objects=600, num_requests=5000, alpha=0.9, seed=3),
+    name="every-policy",
+)
+
+
+@pytest.mark.parametrize("name", policy_names())
+def test_auto_matches_scalar_for_every_policy(name):
+    """The default engine never changes a registration's decisions: a
+    policy the vector engine cannot run exactly (say, an S3 queue
+    discipline other than Algorithm 1) must be refused, not run on the
+    s3fifo kernel."""
+    auto = simulate(create_policy(name, 60), EVERY_POLICY_TRACE, engine="auto")
+    scalar = simulate(
+        create_policy(name, 60), EVERY_POLICY_TRACE, engine="scalar"
+    )
+    assert (auto.misses, auto.evictions) == (scalar.misses, scalar.evictions)
+
+
+def test_vector_refuses_s3_disciplines_beyond_algorithm1():
+    trace, _ = TRACES["zipf"]
+    assert vector_eligible(create_policy("s3variant", 60), trace)
+    for name, kwargs in [
+        ("s3sieve", {}),
+        ("s3variant", {"main_type": "lru"}),
+        ("s3variant", {"small_type": "lru"}),
+        ("s3variant", {"promote_on_hit": True}),
+        ("s3fifo-d", {}),
+    ]:
+        policy = create_policy(name, 60, **kwargs)
+        assert not vector_eligible(policy, trace), (name, kwargs)
 
 
 def test_unknown_engine_rejected():

@@ -2,9 +2,22 @@
 
 import pytest
 
-from repro.core.s3fifo import S3FifoCache
-from repro.core.variants import QueueType, S3QueueVariantCache
+from repro.core.s3fifo import QueueType, S3FifoCache, S3QueueVariantCache
+from repro.sim.request import Request
 from repro.sim.simulator import simulate
+from repro.traces.datasets import generate_dataset_trace
+from repro.traces.synthetic import zipf_sizes, zipf_trace
+
+#: The §6.3 disciplines: S and M each FIFO or LRU.
+ABLATION_TYPES = (QueueType.FIFO, QueueType.LRU)
+
+
+def _hits(policy, trace):
+    """Per-request hit list; items are keys or (key, size) pairs."""
+    return [
+        policy.request(Request(*item) if isinstance(item, tuple) else Request(item))
+        for item in trace
+    ]
 
 
 class TestConstruction:
@@ -24,13 +37,33 @@ class TestConstruction:
 
 
 class TestFifoFifoMatchesS3Fifo:
+    """The FIFO/FIFO variant without hit-promotion IS S3-FIFO: the same
+    decision on every request, not just the same miss total."""
+
     def test_identical_miss_ratio(self, small_zipf):
-        """The FIFO/FIFO variant without hit-promotion IS S3-FIFO."""
         variant = simulate(
             S3QueueVariantCache(50), list(small_zipf)
         ).miss_ratio
         original = simulate(S3FifoCache(50), list(small_zipf)).miss_ratio
         assert variant == pytest.approx(original, abs=1e-12)
+
+    def test_identical_hits_when_promotion_overfills_main(self):
+        """Algorithm 1's "if M is full then evictM()" after a promotion:
+        on this trace skipping it first changes a decision at request
+        7,445 (5,199 misses instead of 5,197)."""
+        trace = generate_dataset_trace("cloudphysics", 0, scale=0.25, seed=0)
+        assert _hits(S3QueueVariantCache(130), trace) == _hits(
+            S3FifoCache(130), trace
+        )
+
+    def test_identical_hits_sized(self):
+        """The ghost holds as many keys as M holds objects, not M's byte
+        capacity in keys (15,224 hits instead of 16,575 here)."""
+        keys = zipf_trace(3000, 30_000, alpha=0.9, seed=0)
+        trace = zipf_sizes(keys, mean_size=100, seed=0)
+        assert _hits(S3QueueVariantCache(20_000), trace) == _hits(
+            S3FifoCache(20_000), trace
+        )
 
 
 class TestLruVariants:
@@ -49,7 +82,7 @@ class TestLruVariants:
         assert list(cache._small)[0] == 0
 
     def test_all_variants_capacity_safe(self, small_zipf):
-        for small in QueueType:
+        for small in ABLATION_TYPES:
             for main in QueueType:
                 cache = S3QueueVariantCache(
                     50, small_type=small, main_type=main
@@ -62,8 +95,8 @@ class TestLruVariants:
         """Section 6.3's conclusion: with quick demotion in place, LRU
         queues do not meaningfully improve efficiency."""
         results = {}
-        for small in QueueType:
-            for main in QueueType:
+        for small in ABLATION_TYPES:
+            for main in ABLATION_TYPES:
                 cache = S3QueueVariantCache(
                     100, small_type=small, main_type=main
                 )

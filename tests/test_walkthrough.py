@@ -1,11 +1,15 @@
 """Tests for the Fig. 5 executable walkthrough."""
 
+import pytest
+
+from repro.core.s3fifo import S3FifoCache
 from repro.core.walkthrough import (
     DEMO_TRACE,
     demo,
     format_walkthrough,
     walkthrough,
 )
+from repro.traces.synthetic import zipf_trace
 
 
 class TestWalkthrough:
@@ -49,3 +53,21 @@ class TestWalkthrough:
         walkthrough(["a", "b"], capacity=6, cache=cache)
         steps = walkthrough(["a"], capacity=6, cache=cache)
         assert steps[0].hit  # state carried over
+
+
+@pytest.mark.parametrize("main_type", ["fifo", "lru", "sieve"])
+def test_main_listing_starts_at_next_candidate(main_type):
+    """M is listed in the order eviction examines it.  For SIEVE that
+    starts at the hand, here resting mid-queue, not at the tail."""
+    cache = S3FifoCache(20, main_type=main_type)
+    steps = walkthrough(zipf_trace(100, 2000, alpha=1.0, seed=0), 20, cache=cache)
+    if main_type == "sieve":
+        assert cache._passed and cache._lap
+    final = steps[-1]
+    candidate = next(
+        k for k in final.main if main_type == "lru" or final.freqs[k] == 0
+    )
+    evicted = []
+    cache.add_eviction_listener(lambda event: evicted.append(event.key))
+    cache._evict_m()
+    assert evicted == [candidate]
