@@ -96,15 +96,20 @@ class McParser:
 
     # ------------------------------------------------------------------
     def _step(self) -> Optional[Tuple]:
-        if self._state == _LINE:
+        while self._state == _LINE:
+            # A line over max_line fails whether or not its CRLF has
+            # arrived (a trailing \r may be half of one), so the verdict
+            # never depends on where the stream was split.
             idx = self._buf.find(CRLF)
+            if idx > self.max_line or (
+                    idx < 0 and len(self._buf) > self.max_line + 1):
+                raise McProtocolError("command line too long")
             if idx < 0:
-                if len(self._buf) > self.max_line:
-                    raise McProtocolError("command line too long")
                 return None
-            line = bytes(self._buf[:idx])
+            parts = bytes(self._buf[:idx]).split()
             del self._buf[:idx + 2]
-            return self._parse_line(line)
+            if parts:  # a bare CRLF is skipped
+                return self._parse_line(parts)
         # _DATA / _SWALLOW: the payload plus its CRLF terminator.
         if len(self._buf) < self._need + 2:
             if self._state == _SWALLOW:
@@ -130,10 +135,7 @@ class McParser:
         key, flags, exptime, noreply = head
         return ("set", key, flags, exptime, payload, noreply)
 
-    def _parse_line(self, line: bytes) -> Optional[Tuple]:
-        parts = line.split()
-        if not parts:
-            return self._step()  # bare CRLF: skip, keep parsing
+    def _parse_line(self, parts: List[bytes]) -> Optional[Tuple]:
         verb = parts[0]
         if verb in (b"get", b"gets"):
             keys = [p.decode("utf-8", "surrogateescape") for p in parts[1:]]

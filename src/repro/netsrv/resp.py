@@ -131,12 +131,19 @@ class RespParser:
 
     # ------------------------------------------------------------------
     def _readline(self) -> Optional[bytes]:
-        """One CRLF-terminated line, or ``None`` if incomplete."""
+        """One CRLF-terminated line, or ``None`` if incomplete.
+
+        A line longer than ``max_inline`` is an error whether or not
+        its CRLF has arrived, so the verdict never depends on where the
+        stream was split (a trailing ``\r`` may still be half a CRLF).
+        """
         idx = self._buf.find(b"\r\n", self._pos)
         if idx < 0:
-            if len(self._buf) - self._pos > self.max_inline:
+            if len(self._buf) - self._pos > self.max_inline + 1:
                 raise RespProtocolError("too big inline request")
             return None
+        if idx - self._pos > self.max_inline:
+            raise RespProtocolError("too big inline request")
         line = bytes(self._buf[self._pos:idx])
         self._pos = idx + 2
         return line
@@ -167,43 +174,45 @@ class RespParser:
         return payload
 
     def _parse_one(self) -> Optional[List[bytes]]:
-        """One complete command, or ``None`` while bytes are missing."""
-        # Resume an array whose elements are still arriving.
-        if self._pending is not None:
-            while self._remaining:
-                arg = self._parse_bulk()
-                if arg is None:
-                    return None
-                self._pending.append(arg)
-                self._remaining -= 1
-            cmd, self._pending = self._pending, None
-            return cmd
-        if self._pos >= len(self._buf):
-            return None
-        lead = self._buf[self._pos]
-        if lead == ord("*"):
+        """One complete command, or ``None`` while bytes are missing.
+
+        Empty commands (``*0``, ``*-1``, blank inline lines) are
+        skipped in a loop, so no run of them can exhaust the stack.
+        """
+        while True:
+            # Resume an array whose elements are still arriving.
+            if self._pending is not None:
+                while self._remaining:
+                    arg = self._parse_bulk()
+                    if arg is None:
+                        return None
+                    self._pending.append(arg)
+                    self._remaining -= 1
+                cmd, self._pending = self._pending, None
+                return cmd
+            if self._pos >= len(self._buf):
+                return None
+            lead = self._buf[self._pos]
             line = self._readline()
             if line is None:
                 return None
-            try:
-                count = int(line[1:])
-            except ValueError:
-                raise RespProtocolError("invalid multibulk length") from None
-            if count > self.max_elements:
-                raise RespProtocolError("invalid multibulk length")
-            if count <= 0:
+            if lead == ord("*"):
+                try:
+                    count = int(line[1:])
+                except ValueError:
+                    raise RespProtocolError(
+                        "invalid multibulk length") from None
+                if count > self.max_elements:
+                    raise RespProtocolError("invalid multibulk length")
                 # Redis treats *0 and *-1 as an empty command: skip it.
-                return self._parse_one() if self._pos < len(self._buf) else None
-            # The header line is consumed for good; missing elements
-            # keep the pending state across feeds (never rewound).
-            self._pending = []
-            self._remaining = count
-            return self._parse_one()
-        # Inline command: a plain text line split on whitespace.
-        line = self._readline()
-        if line is None:
-            return None
-        parts = line.split()
-        if not parts:
-            return self._parse_one()
-        return [bytes(p) for p in parts]
+                # Otherwise the header line is consumed for good;
+                # missing elements keep the pending state across feeds
+                # (never rewound).
+                if count > 0:
+                    self._pending = []
+                    self._remaining = count
+                continue
+            # Inline command: a plain text line split on whitespace.
+            parts = line.split()
+            if parts:
+                return parts

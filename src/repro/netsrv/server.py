@@ -19,14 +19,15 @@ backend **evicts** — for the mp backend that is exactly the
 loop's only blocking work is the IPC round-trip, and the eviction,
 hashing, and TTL bookkeeping burn other cores.
 
-Per-connection **pipelining** is free with streaming parsers: every
-complete command sitting in one read chunk is executed before the
-replies go out in a single ``write``.  Consecutive single-key RESP
-``GET`` commands in a pipeline are *fused* into one
-``service.get_many`` call — on the mp backend that turns N pipelined
-gets into one round-trip per involved worker, the same lever the
-batched loadgen path measures.  (Reply order is preserved; the fusion
-is invisible on the wire.)
+Each connection is one :class:`asyncio.Protocol`: ``data_received``
+feeds the delivered chunk to the parser, executes every complete
+command in it, and answers them in one ``transport.write`` — a request
+costs one loop callback and creates no task.  Consecutive single-key
+RESP ``GET`` commands in a pipeline are *fused* into one
+``service.get_many`` call (one round-trip per involved mp worker;
+reply order is preserved).  While the write buffer is over its
+high-water mark (the client is not reading) the connection stops
+reading, so a pipelining client cannot grow the server's buffers.
 
 Both protocols interoperate on one store: a value is the pair
 ``(flags, data)`` so a memcached ``set`` with flags survives a RESP
@@ -37,15 +38,15 @@ Lifecycle
 ---------
 
 ``await start()`` binds the listeners (``port=0`` picks an ephemeral
-port; the bound port is readable afterwards).  ``await
-drain(timeout)`` is the graceful path: stop accepting, wake every
-connection, give each one a short grace read to pick up bytes already
-in flight, execute and answer everything *accepted* (fully received),
-then close — connections still alive past the deadline are cancelled.
+port; the bound port is readable afterwards).  Lifecycle lives on the
+server side: the accept limit is checked as a connection is made, and
+one server-wide timer closes connections idle past ``idle_timeout``.
+``await drain(timeout)`` is the graceful path: stop accepting, close
+every connection ``drain_grace`` seconds later — answering everything
+it receives until then — and abort those still open at the deadline.
 No accepted in-flight command is ever dropped by a drain; the
 conformance tests pin this under load.  The backend is **not** owned
-by the server: callers close it after the drain (for the mp backend
-that is the existing phased bounded teardown).
+by the server: callers close it after the drain.
 
 For synchronous callers (tests, the load generator), :class:`
 ServerThread` runs the whole lifecycle on a daemon thread:
@@ -110,18 +111,139 @@ _RESP_COMMANDS = ("get", "set", "del", "mget", "mset", "exists", "ping",
 _MC_COMMANDS = ("get", "gets", "set", "delete", "stats", "version",
                 "quit", "other")
 
-_READ_CHUNK = 1 << 16
 
+class _Connection(asyncio.Protocol):
+    """One client connection (see Architecture above).  Reading pauses
+    while the write buffer is over its high-water mark and while a
+    ``slow-client`` stall runs, the only task a connection creates."""
 
-class _ConnectionState:
-    """Per-connection bookkeeping shared by both protocol handlers."""
+    __slots__ = ("server", "protocol", "parser", "execute", "transport",
+                 "last_active", "write_paused", "stall", "draining")
 
-    __slots__ = ("protocol", "parser", "peer")
-
-    def __init__(self, protocol: str, parser: Any, peer: str) -> None:
+    def __init__(self, server: "CacheServer", protocol: str) -> None:
+        self.server = server
         self.protocol = protocol
-        self.parser = parser
-        self.peer = peer
+        if protocol == "resp":
+            self.parser: Any = RespParser(max_bulk=server.max_value_size)
+            self.execute = server._execute_resp
+        else:
+            self.parser = McParser(max_value_size=server.max_value_size)
+            self.execute = server._execute_mc
+        self.transport: Any = None
+        self.last_active = time.monotonic()
+        self.write_paused = False
+        self.stall: Optional[asyncio.Task] = None
+        self.draining = False
+
+    # -- asyncio callbacks ---------------------------------------------
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.server._admit(self)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        if self.stall is not None:
+            self.stall.cancel()
+        self.server._release(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.last_active = time.monotonic()
+        try:
+            commands = self.parser.feed(data)
+        except (RespProtocolError, McProtocolError) as exc:
+            self.server._proto_errors[self.protocol] += 1
+            self.transport.write(
+                encode_error(f"ERR Protocol error: {exc}")
+                if self.protocol == "resp"
+                else f"CLIENT_ERROR {exc}\r\n".encode()
+            )
+            self.transport.close()
+            return
+        if commands:
+            self._respond(commands)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._resume_reading()
+
+    # -- request path ----------------------------------------------------
+    def _respond(self, commands: List[Any]) -> None:
+        """Execute a pipeline on the server-wide accepted-command clock.
+
+        A ``conn-reset`` fault executes only the commands before it;
+        a ``slow-client`` fault hands the writes to :meth:`_stalled`.
+        """
+        server, start = self.server, self.server._clock
+        server._clock = start + len(commands)
+        clocked = [(cmd, start + i) for i, cmd in enumerate(commands, 1)]
+        plan = server._fault_plan
+        if plan is None:
+            replies, close = self.execute(clocked)
+            self._finish(replies, False, close)
+            return
+        reset = next((i for i, (_, clock) in enumerate(clocked)
+                      if plan.active(CONN_RESET, clock)), None)
+        if reset is not None:
+            clocked = clocked[:reset]
+        replies, close = self.execute(clocked)
+        stalls = [(i, window.magnitude)
+                  for i, (_, clock) in enumerate(clocked[:len(replies)])
+                  if (window := plan.window(SLOW_CLIENT, clock)) is not None]
+        if not stalls:
+            self._finish(replies, reset is not None, close)
+            return
+        self.transport.pause_reading()
+        self.stall = asyncio.ensure_future(
+            self._stalled(replies, stalls, reset is not None, close)
+        )
+
+    async def _stalled(self, replies: List[bytes],
+                       stalls: List[Tuple[int, float]],
+                       reset: bool, close: bool) -> None:
+        """Write the replies, sleeping before each stalled one."""
+        done = 0
+        for i, seconds in stalls:
+            self.transport.write(b"".join(replies[done:i]))
+            done = i
+            await asyncio.sleep(seconds)
+        self.stall = None
+        self._finish(replies[done:], reset, close or self.draining)
+        self._resume_reading()
+
+    def _finish(self, replies: List[bytes], reset: bool,
+                close: bool) -> None:
+        """Write the replies; then abort (``conn-reset``) or close (QUIT)."""
+        transport = self.transport
+        out = b"".join(replies)
+        if out:
+            transport.write(out)
+        if reset:
+            self.server._resets[self.protocol] += 1
+            transport.abort()  # RST: no FIN, no reply
+        elif close:
+            transport.close()
+
+    # -- server-side lifecycle -----------------------------------------
+    @property
+    def busy(self) -> bool:
+        """Waiting on a stall or on the client reading its replies."""
+        return (self.stall is not None or self.write_paused
+                or self.transport.is_closing())
+
+    def _resume_reading(self) -> None:
+        if not self.busy:
+            self.last_active = time.monotonic()
+            self.transport.resume_reading()
+
+    def end_grace(self) -> None:
+        """Drain: close once the grace period is over (after a stall)."""
+        if self.stall is not None:
+            self.draining = True
+        else:
+            self.transport.close()
 
 
 def exptime_to_ttl(exptime: int) -> Optional[float]:
@@ -213,14 +335,14 @@ class CacheServer:
         self._fault_plan = fault_plan
         self._clock = 0  # accepted-command sequence number (fault clock)
         self._servers: List[asyncio.base_events.Server] = []
-        self._conn_tasks: set = set()
-        self._conn_count = {p: 0 for p in PROTOCOLS}
+        self._connections: set = set()
         self._accepted = {p: 0 for p in PROTOCOLS}
         self._rejected = {p: 0 for p in PROTOCOLS}
         self._proto_errors = {p: 0 for p in PROTOCOLS}
         self._idle_closes = {p: 0 for p in PROTOCOLS}
         self._resets = {p: 0 for p in PROTOCOLS}
-        self._draining: Optional[asyncio.Event] = None
+        self._sweep: Optional[asyncio.TimerHandle] = None
+        self._all_closed: Optional[asyncio.Future] = None
         self._started = False
         self._closed = False
         self._cmd_counters: Dict[Tuple[str, str], Any] = {}
@@ -235,51 +357,56 @@ class CacheServer:
         """Bind the listeners; ephemeral ports become readable after."""
         if self._started:
             raise RuntimeError("server already started")
-        self._draining = asyncio.Event()
+        loop = asyncio.get_running_loop()
         if self.resp_port is not None:
-            srv = await asyncio.start_server(
-                lambda r, w: self._accept("resp", r, w),
+            srv = await loop.create_server(
+                lambda: _Connection(self, "resp"),
                 self.host, self.resp_port,
             )
             self.resp_port = srv.sockets[0].getsockname()[1]
             self._servers.append(srv)
         if self.memcached_port is not None:
-            srv = await asyncio.start_server(
-                lambda r, w: self._accept("memcached", r, w),
+            srv = await loop.create_server(
+                lambda: _Connection(self, "memcached"),
                 self.host, self.memcached_port,
             )
             self.memcached_port = srv.sockets[0].getsockname()[1]
             self._servers.append(srv)
+        if self.idle_timeout is not None:
+            self._sweep = loop.call_later(self.idle_timeout,
+                                          self._sweep_idle)
         self._started = True
         return self
 
     async def drain(self, timeout: float = 5.0) -> None:
         """Graceful shutdown: stop accepting, finish accepted work.
 
-        Listeners close first (new connects are refused), then every
-        live connection is woken: each gets :attr:`drain_grace`
-        seconds of final reads, answers everything fully received, and
-        closes.  Connections still running at ``timeout`` are
-        cancelled — the bounded deadline the resilience story
-        requires.  Idempotent.
+        Listeners close first (new connects are refused).  Every live
+        connection keeps being served for :attr:`drain_grace` seconds,
+        answering everything it receives, and then closes (flushing its
+        replies).  Connections still open at ``timeout`` are aborted —
+        the bounded deadline the resilience story requires.
+        Idempotent.
         """
         if self._closed:
             return
         self._closed = True
+        loop = asyncio.get_running_loop()
         for srv in self._servers:
             srv.close()
-        if self._draining is not None:
-            self._draining.set()
+        if self._sweep is not None:
+            self._sweep.cancel()
+        # Schedule the grace closes before awaiting anything: since
+        # Python 3.12.1, Server.wait_closed() waits for the connections.
+        for conn in self._connections:
+            loop.call_later(self.drain_grace, conn.end_grace)
+        if self._connections:
+            self._all_closed = loop.create_future()
+            await asyncio.wait([self._all_closed], timeout=timeout)
+            for conn in list(self._connections):
+                conn.transport.abort()
         for srv in self._servers:
             await srv.wait_closed()
-        if self._conn_tasks:
-            done, pending = await asyncio.wait(
-                set(self._conn_tasks), timeout=timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
 
     async def aclose(self) -> None:
         """Immediate shutdown (a drain with no deadline to spare)."""
@@ -287,174 +414,44 @@ class CacheServer:
 
     @property
     def connections(self) -> int:
-        return sum(self._conn_count.values())
+        return len(self._connections)
 
     # ------------------------------------------------------------------
-    # Accept / per-connection loop
+    # Connection bookkeeping
     # ------------------------------------------------------------------
-    def _accept(self, protocol: str, reader: asyncio.StreamReader,
-                writer: asyncio.StreamWriter) -> None:
+    def _admit(self, conn: _Connection) -> None:
+        """Accept limit: connections over it are closed unserved."""
+        protocol = conn.protocol
         if self._closed or self.connections >= self.max_connections:
             self._rejected[protocol] += 1
-            writer.close()
+            conn.transport.close()
             return
         self._accepted[protocol] += 1
-        self._conn_count[protocol] += 1
-        task = asyncio.ensure_future(
-            self._serve_connection(protocol, reader, writer)
+        self._connections.add(conn)
+
+    def _release(self, conn: _Connection) -> None:
+        self._connections.discard(conn)  # absent if rejected at accept
+        if (not self._connections and self._all_closed is not None
+                and not self._all_closed.done()):
+            self._all_closed.set_result(None)
+
+    def _sweep_idle(self) -> None:
+        """Close connections idle past ``idle_timeout``; re-arm the
+        timer for the next connection due."""
+        now = time.monotonic()
+        next_due = now + self.idle_timeout
+        for conn in list(self._connections):
+            if conn.busy:
+                continue  # the wait is on a stall or on the client
+            due = conn.last_active + self.idle_timeout
+            if due <= now:
+                self._idle_closes[conn.protocol] += 1
+                conn.transport.close()
+            else:
+                next_due = min(next_due, due)
+        self._sweep = asyncio.get_running_loop().call_later(
+            next_due - now, self._sweep_idle
         )
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _serve_connection(self, protocol: str,
-                                reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        if protocol == "resp":
-            parser: Any = RespParser(max_bulk=self.max_value_size)
-            execute = self._execute_resp
-            proto_error_reply = lambda exc: encode_error(  # noqa: E731
-                f"ERR Protocol error: {exc}"
-            )
-        else:
-            parser = McParser(max_value_size=self.max_value_size)
-            execute = self._execute_mc
-            proto_error_reply = lambda exc: (  # noqa: E731
-                f"CLIENT_ERROR {exc}\r\n".encode()
-            )
-        try:
-            while True:
-                draining = self._draining.is_set()
-                if draining:
-                    data = await self._final_read(reader)
-                else:
-                    data = await self._read(reader)
-                    if data is None:  # idle timeout
-                        self._idle_closes[protocol] += 1
-                        break
-                if not data and not draining:
-                    if self._draining.is_set():
-                        continue  # woken by drain: run the final pass
-                    break  # client EOF
-                try:
-                    commands = parser.feed(data)
-                except (RespProtocolError, McProtocolError) as exc:
-                    self._proto_errors[protocol] += 1
-                    writer.write(proto_error_reply(exc))
-                    with _suppress_conn_errors():
-                        await writer.drain()
-                    break
-                keep_open = await self._respond(
-                    protocol, commands, execute, writer
-                )
-                if not keep_open:
-                    return  # reset injected: transport already aborted
-                if self._draining.is_set() and parser.buffered == 0:
-                    break
-                if draining:
-                    break  # final pass done (answered what arrived)
-        except asyncio.CancelledError:
-            pass  # drain deadline: the server is done waiting
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # client went away mid-exchange
-        finally:
-            self._conn_count[protocol] -= 1
-            with _suppress_conn_errors():
-                writer.close()
-
-    async def _read(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """One chunk, or ``b""`` on EOF/drain-wake, or ``None`` on idle.
-
-        Waits on the socket *and* the drain event so a draining server
-        never sits behind a silent client; the pending read is
-        cancelled before any byte is consumed, so nothing is lost.
-        """
-        read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-        drain_task = asyncio.ensure_future(self._draining.wait())
-        try:
-            done, _ = await asyncio.wait(
-                {read_task, drain_task},
-                timeout=self.idle_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for task in (read_task, drain_task):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(read_task, drain_task,
-                                 return_exceptions=True)
-        if read_task in done and not read_task.cancelled():
-            exc = read_task.exception()
-            if exc is not None:
-                raise exc
-            return read_task.result()
-        if drain_task in done:
-            return b""  # woken by drain
-        return None  # idle timeout
-
-    async def _final_read(self, reader: asyncio.StreamReader) -> bytes:
-        """Drain-time grace: collect bytes already in flight."""
-        chunks: List[bytes] = []
-        deadline = time.monotonic() + self.drain_grace
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                chunk = await asyncio.wait_for(
-                    reader.read(_READ_CHUNK), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                break
-            if not chunk:
-                break
-            chunks.append(chunk)
-        return b"".join(chunks)
-
-    async def _respond(self, protocol: str, commands: List[Any],
-                       execute, writer: asyncio.StreamWriter) -> bool:
-        """Execute a pipeline; one write unless a fault forces stalls.
-
-        Returns False when a ``conn-reset`` fault aborted the
-        connection.  A close-requesting command (QUIT) discards the
-        rest of the pipeline, like Redis and memcached both do.
-        """
-        if not commands:
-            return True
-        plan = self._fault_plan
-        clocked: List[Tuple[Any, int]] = []
-        reset_at: Optional[int] = None
-        for i, cmd in enumerate(commands):
-            self._clock += 1
-            clocked.append((cmd, self._clock))
-            if (reset_at is None and plan is not None
-                    and plan.active(CONN_RESET, self._clock)):
-                reset_at = i
-        execute_list = clocked if reset_at is None else clocked[:reset_at]
-        replies, close = execute(execute_list)
-        out: List[bytes] = []
-        for (cmd, clock), reply in zip(execute_list, replies):
-            if plan is not None:
-                window = plan.window(SLOW_CLIENT, clock)
-                if window is not None:
-                    if out:
-                        writer.write(b"".join(out))
-                        out = []
-                        await writer.drain()
-                    await asyncio.sleep(window.magnitude)
-            if reply:
-                out.append(reply)
-        if out:
-            writer.write(b"".join(out))
-            await writer.drain()
-        if reset_at is not None:
-            self._resets[protocol] += 1
-            writer.transport.abort()  # RST: no FIN, no reply
-            return False
-        if close:
-            with _suppress_conn_errors():
-                writer.close()
-            raise asyncio.CancelledError  # unwind; finally decrements
-        return True
 
     # ------------------------------------------------------------------
     # RESP execution
@@ -754,7 +751,10 @@ class CacheServer:
                 "repro_net_connections",
                 "Open client connections.", labels,
             ).set_function(
-                lambda p=protocol: self._conn_count[p]
+                # list() copies in one step: collection may run on
+                # another thread while the loop adds connections.
+                lambda p=protocol: sum(
+                    c.protocol == p for c in list(self._connections))
             )
             for name, help_text, source in (
                 ("repro_net_accepted",
@@ -796,18 +796,6 @@ def _wrong_args(name: str) -> bytes:
     return encode_error(
         f"ERR wrong number of arguments for '{name}' command"
     )
-
-
-class _suppress_conn_errors:
-    """``with`` helper: ignore errors from closing a dead transport."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return exc_type is not None and issubclass(
-            exc_type, (ConnectionError, OSError, RuntimeError)
-        )
 
 
 # ----------------------------------------------------------------------

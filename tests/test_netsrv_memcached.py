@@ -65,6 +65,11 @@ class TestCommands:
     def test_bare_crlf_skipped(self):
         assert McParser().feed(b"\r\nversion\r\n") == [("version",)]
 
+    def test_long_run_of_bare_crlfs_does_not_recurse(self):
+        assert McParser().feed(b"\r\n" * 5000 + b"version\r\n") == [
+            ("version",)
+        ]
+
 
 class TestClientErrors:
     @pytest.mark.parametrize("line", [
@@ -111,6 +116,16 @@ class TestStreaming:
         parser = McParser(max_line=64)
         with pytest.raises(McProtocolError, match="too long"):
             parser.feed(b"get " + b"k" * 128)
+
+    def test_line_limit_does_not_depend_on_the_split(self):
+        """An over-long line fails even when its CRLF is in the chunk;
+        one of exactly ``max_line`` bytes passes even when split
+        between its CR and LF."""
+        with pytest.raises(McProtocolError, match="too long"):
+            McParser(max_line=8).feed(b"get " + b"k" * 5 + b"\r\n")
+        parser = McParser(max_line=8)
+        assert parser.feed(b"get kkkk\r") == []
+        assert parser.feed(b"\n") == [("get", ["kkkk"], False)]
 
 
 class TestOversized:

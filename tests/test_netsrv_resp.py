@@ -140,3 +140,21 @@ class TestParser:
         assert parser.feed(b"$1\r\nk\r\n$1\r\nv\r\n") == [
             [b"SET", b"k", b"v"]
         ]
+
+    def test_long_runs_of_empty_commands_do_not_recurse(self):
+        """Skipped empty commands are a loop, not one frame each."""
+        assert RespParser().feed(b"\r\n" * 5000 + cmd(b"PING")) == [
+            [b"PING"]
+        ]
+        assert RespParser().feed(b"*0\r\n" * 5000 + b"*-1\r\n" * 5000
+                                 + b"PING\r\n") == [[b"PING"]]
+
+    def test_line_limit_does_not_depend_on_the_split(self):
+        """An over-long line fails even when its CRLF is in the chunk;
+        one of exactly ``max_inline`` bytes passes even when split
+        between its CR and LF."""
+        with pytest.raises(RespProtocolError, match="too big inline"):
+            RespParser(max_inline=8).feed(b"X" * 9 + b"\r\n")
+        parser = RespParser(max_inline=8)
+        assert parser.feed(b"PING 123\r") == []
+        assert parser.feed(b"\n") == [[b"PING", b"123"]]

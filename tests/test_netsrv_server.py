@@ -355,6 +355,137 @@ class TestLifecycle:
             squatter.close()
 
 
+class CountingService(CacheService):
+    """A thread backend that records the key count of each read call."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(("get", 1))
+        return super().get(key, default)
+
+    def get_many(self, keys, default=None):
+        keys = list(keys)
+        self.reads.append(("get_many", len(keys)))
+        return super().get_many(keys, default)
+
+
+def resp_get(key: bytes) -> bytes:
+    return b"*2\r\n$3\r\nGET\r\n$%d\r\n%s\r\n" % (len(key), key)
+
+
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(min(1 << 16, n - len(buf)))
+        if not chunk:
+            break
+        buf += chunk
+    return bytes(buf)
+
+
+def wait_for(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestConnectionPath:
+    """The per-connection request path: one parse/execute/write per
+    delivered chunk, with reading paused while replies back up."""
+
+    def test_crlf_flood_then_command_is_answered(self, server):
+        flood = b"\r\n" * 8192  # 16 KiB of empty lines
+        for port, command, reply in (
+            (server.resp_port, b"PING\r\n", b"+PONG\r\n"),
+            (server.memcached_port, b"version\r\n",
+             f"VERSION {SERVER_VERSION}\r\n".encode()),
+        ):
+            sock = connect(port)
+            try:
+                assert exchange(sock, flood + command, b"\r\n") == reply
+            finally:
+                sock.close()
+
+    def test_pipelined_gets_reach_the_backend_as_one_get_many(self):
+        service = CountingService(256, "s3fifo")
+        for i in range(32):
+            service.set(f"k{i}", (0, b"v%d" % i))
+        with ServerThread(service, resp_port=0) as st:
+            sock = connect(st.resp_port)
+            try:
+                expected = b"".join(b"$%d\r\nv%d\r\n" % (len(b"v%d" % i), i)
+                                    for i in range(32))
+                sock.sendall(b"".join(resp_get(b"k%d" % i)
+                                      for i in range(32)))
+                assert recv_exact(sock, len(expected)) == expected
+            finally:
+                sock.close()
+        assert service.reads == [("get_many", 32)]
+
+    def test_client_that_stops_reading_pauses_the_connection(self):
+        """Replies a client leaves unread stop the server reading, so
+        its write buffer stays near the transport's high-water mark."""
+        size = 1 << 16
+        service = CountingService(64, "s3fifo")
+        for k in range(4):
+            service.set(f"v{k}", (0, bytes([65 + k]) * size))
+        with ServerThread(service, resp_port=0) as st:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, size)
+            sock.settimeout(10.0)
+            sock.connect(("127.0.0.1", st.resp_port))
+            try:
+                assert wait_for(lambda: len(st.server._connections) == 1)
+                conn = next(iter(st.server._connections))
+                sent = 0
+                # One GET per delivered chunk until the kernel buffers
+                # fill up and the server stops reading.
+                while conn.transport.is_reading():
+                    assert sent < 1024, "reading never paused"
+                    sock.sendall(resp_get(b"v%d" % (sent % 4)))
+                    sent += 1
+                    assert wait_for(lambda: len(service.reads) == sent
+                                    or not conn.transport.is_reading())
+                # Pipeline more, for at least 4 MiB of replies in all.
+                more = max(64, sent + 16) - sent
+                sock.sendall(b"".join(resp_get(b"v%d" % ((sent + i) % 4))
+                                      for i in range(more)))
+                time.sleep(0.2)
+                assert not conn.transport.is_reading()
+                assert conn.transport.get_write_buffer_size() < 4 * size
+                total = sent + more
+                reply = b"$%d\r\n" % size
+                for i in range(total):
+                    assert recv_exact(sock, len(reply) + size + 2) == \
+                        reply + bytes([65 + i % 4]) * size + b"\r\n"
+                assert exchange(sock, b"PING\r\n", b"\r\n") == b"+PONG\r\n"
+            finally:
+                sock.close()
+        assert sum(n for _, n in service.reads) == total
+
+    def test_half_closed_client_gets_every_reply_before_fin(self):
+        service = CacheService(1024, "s3fifo")
+        with ServerThread(service, resp_port=0) as st:
+            sock = connect(st.resp_port)
+            try:
+                n = 500
+                sock.sendall(b"".join(
+                    b"*3\r\n$3\r\nSET\r\n$4\r\nk%03d\r\n$4\r\nv%03d\r\n"
+                    % (i, i) for i in range(n)
+                ) + b"".join(resp_get(b"k%03d" % i) for i in range(n)))
+                sock.shutdown(socket.SHUT_WR)
+                assert recv_eof(sock) == b"+OK\r\n" * n + b"".join(
+                    b"$4\r\nv%03d\r\n" % i for i in range(n))
+            finally:
+                sock.close()
+
+
 class TestFaultsAndMetrics:
     def test_conn_reset_fault_answers_then_resets(self):
         service = CacheService(64, "s3fifo")
