@@ -24,18 +24,30 @@ paths share the same insertion/eviction machinery — only the trivial
 hit path is duplicated (inlined) in the batch loop — so they cannot
 drift apart algorithmically; differential tests cover both.
 
+One slot scheme serves every compiled-trace run
+(:meth:`FastPolicyBase._slots_for`).  A twin that has interned nothing
+adopts the trace's own key maps: slot ``k`` is trace key id ``k``,
+``_ids``/``_key_of`` *are* the trace's
+:meth:`~repro.traces.compiled.CompiledTrace.key_index` and
+``key_table`` (shared, not copied), and the slabs cover every id.
+:meth:`FastPolicyBase._intern` copies the shared maps the first time it
+adds a key, so the trace never sees a twin's keys.  A twin that has
+already interned keys interns the trace's whole key table instead, so
+its id -> slot map is complete.  Either way the batch loops index the
+map without a check.
+
 The same machinery is also the kernel of the vectorized hit-run engine
-(:mod:`repro.sim.vector`).  The engine builds a private clone with
-:meth:`FastPolicyBase.vector_clone`, whose slots are the trace's key
-ids, so ``_loc`` doubles as the residency mask the engine probes.  It
-calls ``_insert_slot`` on misses and skips hits entirely.  The hit
-side effects it skipped are applied lazily: eviction code calls
+(:mod:`repro.sim.vector`).  The engine builds a fresh twin exactly as
+:meth:`FastPolicyBase.run_compiled` sees one, so its slots are the
+trace's key ids and ``_loc`` doubles as the residency mask the engine
+probes.  It calls ``_insert_slot`` on misses and skips hits entirely.
+The hit side effects it skipped are applied lazily: eviction code calls
 ``self._lazy.settle(slot, self)`` before it reads a slot's hit state,
 and ``settle`` replays the skipped hits through :meth:`_fold_hits`.
 Every eviction notice also reaches the ledger, which re-checks the
-evicted key's next request.  A clone has no listeners, so the FIFO and
-SIEVE twins skip the metadata only events report (insert time, hit
-count) there: on their short miss paths those writes cost up to a
+evicted key's next request.  The engine's twin has no listeners, so the
+FIFO and SIEVE twins skip the metadata only events report (insert time,
+hit count) there: on their short miss paths those writes cost up to a
 fifth of a vector run.  ``_lazy`` is ``None`` on every other instance,
 so each check is one attribute test on the scalar paths.
 
@@ -79,7 +91,7 @@ class FastPolicyBase(EvictionPolicy):
 
     Owns the key-interning table and the metadata slabs common to every
     fast policy (location byte, size, insertion time), the compiled-
-    trace id mapping, and slot-based event emission.  Subclasses add
+    trace slot map, and slot-based event emission.  Subclasses add
     their queue structures via :meth:`_grow_extra` and implement
     :meth:`_batch`.
 
@@ -88,7 +100,7 @@ class FastPolicyBase(EvictionPolicy):
     valid across growth.
     """
 
-    #: The vector engine's lazy-hit ledger on a :meth:`vector_clone`;
+    #: The vector engine's lazy-hit ledger on the engine's own twin;
     #: ``None`` everywhere else (see the module docstring).
     _lazy = None
 
@@ -96,6 +108,8 @@ class FastPolicyBase(EvictionPolicy):
         super().__init__(capacity)
         self._ids: dict = {}
         self._key_of: List[Hashable] = []
+        #: Whether ``_ids``/``_key_of`` are a trace's own maps.
+        self._maps_shared = False
         self._count = 0
         self._slab_cap = 256
         #: 0 = not resident; nonzero = resident (policies with several
@@ -103,8 +117,6 @@ class FastPolicyBase(EvictionPolicy):
         self._loc = bytearray(self._slab_cap)
         self._size_of = [0] * self._slab_cap
         self._insert_time = array("q", bytes(8 * self._slab_cap))
-        self._tmap_src: Optional["CompiledTrace"] = None
-        self._tmap: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Key interning
@@ -112,6 +124,10 @@ class FastPolicyBase(EvictionPolicy):
     def _intern(self, key: Hashable) -> int:
         slot = self._ids.get(key)
         if slot is None:
+            if self._maps_shared:  # copy on first write
+                self._ids = dict(self._ids)
+                self._key_of = list(self._key_of)
+                self._maps_shared = False
             slot = len(self._key_of)
             self._ids[key] = slot
             self._key_of.append(key)
@@ -132,51 +148,39 @@ class FastPolicyBase(EvictionPolicy):
     # ------------------------------------------------------------------
     # Vector-engine kernel protocol
     # ------------------------------------------------------------------
-    @classmethod
-    def vector_clone(cls, capacity: int, spec: dict, num_objects: int):
-        """A fresh instance for the vector engine to drive.
-
-        It is configured by ``spec`` (a ``vector_spec()`` of this twin
-        or of its reference policy) and sized so that slot ``k`` is
-        trace key id ``k`` for every ``k < num_objects``: the engine
-        never interns keys, and ``_loc`` is its residency mask.
-        """
-        twin = cls(capacity)
-        twin._apply_spec(spec)
-        twin._grow_slabs(max(0, num_objects - twin._slab_cap))
-        return twin
-
     def _apply_spec(self, spec: dict) -> None:
-        """Adopt the configuration in ``spec`` (nothing to adopt by
-        default: the capacity is the whole config)."""
+        """Adopt the configuration in ``spec`` (a ``vector_spec()`` of
+        this twin or of its reference policy, less its ``kind``; nothing
+        to adopt by default: the capacity is the whole config)."""
 
     def _fold_hits(self, slot: int, n: int) -> None:
         """Apply ``n`` skipped hits on resident ``slot`` to the state
-        eviction reads (called on vector clones only)."""
+        eviction reads (called by the vector engine only)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Compiled-trace batch protocol
     # ------------------------------------------------------------------
-    def can_run_compiled(self, trace) -> bool:
-        """Whether :meth:`run_compiled` accepts ``trace``."""
-        return isinstance(trace, _compiled_cls())
+    def _slots_for(self, trace: "CompiledTrace") -> list:
+        """The trace-id -> slot map of a batch run over ``trace``.
 
-    def _tmap_for(self, trace: "CompiledTrace") -> list:
-        """Trace-id -> slot mapping, built lazily and cached per trace.
-
-        A list of slot ints (``None`` = id not interned yet), so hot
-        reads return existing references rather than allocating.  The
-        single-entry cache makes repeated slices of the same trace
-        (warmup split, windowed runs) free; alternating between
-        different traces rebuilds the map each switch.
+        A twin that has interned nothing adopts the trace's key maps
+        (slot = key id, see the module docstring) and gets
+        ``trace.id_range()``; so does a twin still sharing this trace's
+        maps.  Any other twin interns the trace's whole key table, one
+        dict lookup per distinct key, and gets the complete map.
         """
-        if self._tmap_src is trace:
-            return self._tmap  # type: ignore[return-value]
-        tmap = [None] * trace.num_objects
-        self._tmap_src = trace
-        self._tmap = tmap
-        return tmap
+        table = trace.key_table
+        if self._key_of is table:
+            return trace.id_range()
+        if not self._key_of:
+            self._ids = trace.key_index()
+            self._key_of = table
+            self._maps_shared = True
+            self._grow_slabs(max(0, len(table) - self._slab_cap))
+            return trace.id_range()
+        intern = self._intern
+        return [intern(key) for key in table]
 
     def run_compiled(self, trace, start: int = 0, stop: Optional[int] = None):
         """Process requests ``[start, stop)`` of a compiled trace.
@@ -197,9 +201,9 @@ class FastPolicyBase(EvictionPolicy):
             raise IndexError(
                 f"invalid span [{start}, {stop}) for trace of {n} requests"
             )
-        return self._batch(trace, start, stop, self._tmap_for(trace))
+        return self._batch(trace, start, stop, self._slots_for(trace))
 
-    def _batch(self, trace: "CompiledTrace", start: int, stop: int, tmap: list):
+    def _batch(self, trace: "CompiledTrace", start: int, stop: int, slots: list):
         raise NotImplementedError
 
     # ------------------------------------------------------------------

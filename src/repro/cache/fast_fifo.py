@@ -50,7 +50,7 @@ class FastFifoCache(FastPolicyBase):
         used = self.used + size
         capacity = self.capacity
         # Evict from the head until the object fits.  No hit state is
-        # read, so a vector clone's ledger has nothing to settle here;
+        # read, so the vector engine's ledger has nothing to settle here;
         # the eviction notice syncs it.
         while used > capacity:
             victim = queue.popleft()
@@ -59,7 +59,7 @@ class FastFifoCache(FastPolicyBase):
             self.used = used - size
             self._notify_evict_slot(victim)
         size_of[slot] = size
-        if self._lazy is None:  # event-only metadata; clones have no listeners
+        if self._lazy is None:  # event-only metadata; engine has no listeners
             self._insert_time[slot] = self.clock
             self._freq[slot] = 0
         loc[slot] = 1
@@ -85,10 +85,9 @@ class FastFifoCache(FastPolicyBase):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _batch(self, trace, start, stop, tmap):
+    def _batch(self, trace, start, stop, slots):
         keys = trace.key_ids()
         sizes = trace.sizes
-        table = trace.key_table
         loc = self._loc
         freq = self._freq
         cap = self.capacity
@@ -98,11 +97,7 @@ class FastFifoCache(FastPolicyBase):
         misses = 0
         bytes_missed = 0
         for i in range(start, stop):
-            slot = tmap[keys[i]]
-            if slot is None:
-                kid = keys[i]
-                slot = self._intern(table[kid])
-                tmap[kid] = slot
+            slot = slots[keys[i]]
             # Oversized is a miss even when the key is resident, with no
             # metadata update (matches base.request's early return).
             if loc[slot] and (unit or sizes[i] <= cap):

@@ -79,10 +79,9 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _batch(self, trace, start, stop, tmap):
+    def _batch(self, trace, start, stop, slots):
         keys = trace.key_ids()
         sizes = trace.sizes
-        table = trace.key_table
         loc = self._loc
         freq = self._freq
         prv = self._prv
@@ -95,7 +94,6 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
         bytes_missed = 0
         unit = sizes is None
         for i in range(start, stop):
-            kid = keys[i]
             size = 1 if unit else sizes[i]
             bytes_requested += size
             if size > cap:
@@ -104,10 +102,7 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
                 misses += 1
                 bytes_missed += size
                 continue
-            slot = tmap[kid]
-            if slot is None:
-                slot = self._intern(table[kid])
-                tmap[kid] = slot
+            slot = slots[keys[i]]
             if loc[slot]:
                 freq[slot] += 1
                 head = ends[0]

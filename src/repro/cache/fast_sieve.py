@@ -96,7 +96,7 @@ class FastSieveCache(FastPolicyBase):
             self._count -= 1
             self._notify_evict_slot(victim)
         self._size_of[slot] = size
-        if self._lazy is None:  # event-only metadata; clones have no listeners
+        if self._lazy is None:  # event-only metadata; engine has no listeners
             self._insert_time[slot] = self.clock
             self._freq[slot] = 0
         visited[slot] = 0
@@ -128,10 +128,9 @@ class FastSieveCache(FastPolicyBase):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _batch(self, trace, start, stop, tmap):
+    def _batch(self, trace, start, stop, slots):
         keys = trace.key_ids()
         sizes = trace.sizes
-        table = trace.key_table
         loc = self._loc
         freq = self._freq
         visited = self._visited
@@ -141,11 +140,7 @@ class FastSieveCache(FastPolicyBase):
         misses = 0
         bytes_missed = 0
         for i in range(start, stop):
-            slot = tmap[keys[i]]
-            if slot is None:
-                kid = keys[i]
-                slot = self._intern(table[kid])
-                tmap[kid] = slot
+            slot = slots[keys[i]]
             # Oversized is a miss even when the key is resident, with no
             # metadata update (matches base.request's early return).
             if loc[slot] and (unit or sizes[i] <= cap):

@@ -33,8 +33,8 @@ _S_BASE = 0x40  # in the small queue S
 _M_BASE = 0x80  # in the main queue M
 
 #: Largest ``freq_cap`` the state byte holds.  The registered policy
-#: keeps the paper's 2-bit counter; vector clones of ``s3fifo`` with a
-#: wider counter use the spare bits.
+#: keeps the paper's 2-bit counter; the vector engine runs an ``s3fifo``
+#: with a wider counter on a twin that uses the spare bits.
 FREQ_FIELD_MAX = _FREQ
 
 #: Ghost entries pack their stamp above the slot index.
@@ -341,10 +341,9 @@ class FastS3FifoCache(FastPolicyBase):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _batch(self, trace, start, stop, tmap):
+    def _batch(self, trace, start, stop, slots):
         keys = trace.key_ids()
         sizes = trace.sizes
-        table = trace.key_table
         loc = self._loc
         fcap = self._freq_cap
         freq_bits = _FREQ
@@ -354,11 +353,7 @@ class FastS3FifoCache(FastPolicyBase):
         misses = 0
         bytes_missed = 0
         for i in range(start, stop):
-            slot = tmap[keys[i]]
-            if slot is None:
-                kid = keys[i]
-                slot = self._intern(table[kid])
-                tmap[kid] = slot
+            slot = slots[keys[i]]
             state = loc[slot]
             # Oversized is a miss even when the key is resident, with no
             # metadata update (matches base.request's early return).

@@ -16,9 +16,10 @@ per-*request*):
 * Only candidate positions — non-resident keys, plus oversized
   requests — drop to the scalar miss path, which is the policy's own
   array twin (``fifo-fast``, ``sieve-fast``, ``s3fifo-fast``).  The
-  engine drives a private clone of the twin
-  (:meth:`~repro.cache.fast_base.FastPolicyBase.vector_clone`) whose
-  residency bytes are the probed mask.  S-FIFO has no twin;
+  engine drives a private, fresh twin that takes its slot map from
+  :meth:`~repro.cache.fast_base.FastPolicyBase._slots_for` exactly as
+  ``run_compiled`` does: slot = the trace's key id, so its residency
+  bytes are the probed mask.  S-FIFO has no twin;
   :class:`_SFifoKernel` is its array implementation here.
 * Hit side-effects that eviction later reads (S3-FIFO's capped
   frequency, SIEVE's visited bit) are **lazy**: the twin's eviction
@@ -46,7 +47,7 @@ loop more than it costs the twin's own batch loop (the eviction
 settles lazy state and forces a re-check).  Under ``engine="auto"``
 the engine therefore picks a loop per chunk.  Once the cache has
 evicted, a chunk whose probe shows a miss fraction above the kernel's
-measured :data:`CROSSOVER` runs through the clone's ``_batch``.  The
+measured :data:`CROSSOVER` runs through the twin's ``run_compiled``.  The
 batch loop hands back when a chunk's miss count falls below it again,
 with a :data:`HYSTERESIS` band either way.  Handing off folds every
 resident slot's pending hits and detaches the ledger
@@ -241,20 +242,22 @@ class _SFifoKernel:
 
     _lazy: Optional[_HitLedger] = None
 
-    @classmethod
-    def vector_clone(cls, capacity: int, spec: dict, num_objects: int):
-        return cls(capacity, spec["primary_cap"], num_objects)
-
-    def __init__(self, capacity: int, primary_cap: int,
-                 num_objects: int) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.primary_cap = primary_cap
-        self._loc = bytearray(num_objects)
+        self.primary_cap = capacity
+        self._loc = bytearray()
         self.primary: OrderedDict = OrderedDict()   # kid -> size
         self.secondary: OrderedDict = OrderedDict()
         self.primary_used = 0
         self.used = 0
         self.stats = CacheStats()
+
+    def _apply_spec(self, spec: dict) -> None:
+        self.primary_cap = spec["primary_cap"]
+
+    def _slots_for(self, trace) -> list:
+        self._loc = bytearray(trace.num_objects)
+        return trace.id_range()
 
     def _fold_hits(self, kid: int, n: int) -> None:
         """Primary hits change nothing S-FIFO evicts by."""
@@ -294,7 +297,7 @@ class _SFifoKernel:
         self.stats.evictions += 1
 
 
-#: ``vector_spec()["kind"]`` -> the class whose clone runs it.
+#: ``vector_spec()["kind"]`` -> the class whose fresh instance runs it.
 _KERNELS = {
     "fifo": FastFifoCache,
     "sfifo": _SFifoKernel,
@@ -307,8 +310,9 @@ def _build_kernel(policy, trace):
     """A private kernel configured like ``policy``, over ``trace``'s
     key ids, wired to a fresh :class:`_HitLedger`."""
     spec = dict(policy.vector_spec())
-    cls = _KERNELS[spec.pop("kind")]
-    kernel = cls.vector_clone(policy.capacity, spec, trace.num_objects)
+    kernel = _KERNELS[spec.pop("kind")](policy.capacity)
+    kernel._apply_spec(spec)
+    kernel._slots_for(trace)
     kernel._lazy = _HitLedger(trace)
     return kernel
 
@@ -373,7 +377,7 @@ def vector_simulate(
 
     With ``auto`` (``engine="auto"``) the engine picks a loop per
     chunk: once the cache has evicted, a chunk whose miss fraction is
-    above the kernel's :data:`CROSSOVER` runs through the clone's own
+    above the kernel's :data:`CROSSOVER` runs through the twin's own
     batch loop, and the batch loop hands back once a chunk's misses
     fall below it (with a :data:`HYSTERESIS` band either way).
     S-FIFO's kernel has no batch loop and always runs as hit runs.
@@ -402,7 +406,8 @@ def vector_simulate(
     # bytearray, not ndarray: the scalar miss path reads and writes
     # single cells constantly, and bytearray indexing is ~10x cheaper
     # than ndarray scalar access.  The probe goes through a zero-copy
-    # view (the kernel never resizes it: no keys are interned).
+    # view (the kernel never resizes it: its slots are the trace's ids,
+    # so it interns no key).
     mask = kernel._loc
     mask_np = np.frombuffer(mask, dtype=np.uint8)
     insert = kernel._insert_slot
@@ -410,13 +415,11 @@ def vector_simulate(
     evicted = ledger.evicted
     ptr = ledger.ptr
 
-    batch = getattr(kernel, "_batch", None) if auto else None
+    batch = getattr(kernel, "run_compiled", None) if auto else None
     if batch is not None:
         crossover = CROSSOVER[policy.vector_spec()["kind"]]
         to_scalar = crossover + HYSTERESIS
         to_vector = crossover - HYSTERESIS
-        # The batch loop maps trace ids to slots; a clone's slot is the id.
-        slots = trace.id_range()
     scalar = False
     handoffs = 0
     vector_requests = 0  # requests of the chunks the event loop ran
@@ -447,7 +450,7 @@ def vector_simulate(
                     handoffs += 1
             if scalar:
                 _, chunk_misses, chunk_bytes, chunk_missed = batch(
-                    trace, c0, c1, slots
+                    trace, c0, c1
                 )
                 misses += chunk_misses
                 bytes_requested += chunk_bytes

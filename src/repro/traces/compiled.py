@@ -40,7 +40,7 @@ class CompiledTrace:
 
     __slots__ = (
         "name", "keys", "sizes", "next_access", "key_table",
-        "_key_ids", "_id_range", "_occ_index",
+        "_key_index", "_key_ids", "_id_range", "_occ_index",
     )
 
     def __init__(
@@ -60,6 +60,7 @@ class CompiledTrace:
         self.sizes = sizes
         self.next_access = next_access
         self.name = name
+        self._key_index: Optional[dict] = None
         self._key_ids: Optional[list] = None
         self._id_range: Optional[list] = None
         self._occ_index: Optional[tuple] = None
@@ -92,6 +93,25 @@ class CompiledTrace:
         if self.next_access is not None:
             total += self.next_access.itemsize * len(self.next_access)
         return total
+
+    def key_index(self) -> dict:
+        """The key -> id dict inverting :attr:`key_table`, built on
+        first use and cached; its ids are :meth:`id_range`'s ints.
+
+        Array twins whose slots are this trace's ids use it as their
+        own key map (see
+        :meth:`~repro.cache.fast_base.FastPolicyBase._slots_for`), so it
+        must never be mutated.  :func:`compile_trace` drops the dict it
+        interned with rather than keeping it here: built after the
+        trace's other columns, it does not raise the peak memory of
+        building them.
+        """
+        index = self._key_index
+        if index is None:
+            index = self._key_index = dict(
+                zip(self.key_table, self.id_range())
+            )
+        return index
 
     def key_ids(self) -> list:
         """The id column as a plain list, materialized once and cached.

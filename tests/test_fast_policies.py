@@ -178,6 +178,60 @@ class TestDifferentialOther:
         assert _stats(ref) == _stats(fast)
 
 
+@pytest.mark.parametrize("ref_name,fast_name", PAIRS)
+class TestSlotMap:
+    """A fresh twin's slots are the trace's key ids and its key maps are
+    the trace's own; a used twin interns the trace's key table."""
+
+    def test_shared_key_maps_never_leak_into_the_trace(
+        self, ref_name, fast_name
+    ):
+        trace = compile_trace(ZIPF)
+        table = list(trace.key_table)
+        index = dict(trace.key_index())
+        num_objects = trace.num_objects
+        fast = create_policy(fast_name, 64)
+        fast.run_compiled(trace)
+        assert fast._key_of is trace.key_table
+        assert not fast.request(Request("not-in-trace"))
+        assert "not-in-trace" in fast
+        if fast.supports_removal:
+            resident = next(key for key in table if key in fast)
+            assert fast.remove(resident)
+            assert resident not in fast
+        assert trace.key_table == table
+        assert trace.key_index() == index
+        assert trace.num_objects == num_objects
+
+        ref = create_policy(ref_name, 64)
+        ref_events = _events(ref)
+        _stream(ref, ZIPF)
+        again = create_policy(fast_name, 64)
+        again_events = _events(again)
+        again.run_compiled(trace)
+        assert _stats(ref) == _stats(again)
+        assert ref_events == again_events
+
+    def test_used_twin_alternates_traces(self, ref_name, fast_name):
+        # B shares some keys with A and adds new ones, so the twin
+        # shares A's maps, copies them on B's first new key, and then
+        # maps A through its own, complete, interning table.
+        a = ZIPF[:5000]
+        b = [key + 500 for key in ZIPF[5000:10000]]
+        ref = create_policy(ref_name, 64)
+        ref_events = _events(ref)
+        fast = create_policy(fast_name, 64)
+        fast_events = _events(fast)
+        for items in (a, b, a):
+            _stream(ref, items)
+            fast.run_compiled(compile_trace(items))
+            assert _stats(ref) == _stats(fast)
+            assert ref.clock == fast.clock
+        assert ref_events == fast_events
+        for key in set(a) | set(b):
+            assert (key in ref) == (key in fast)
+
+
 class TestS3FifoFastSpecifics:
     def test_demotion_events_identical(self):
         ref = create_policy("s3fifo", 64)

@@ -101,6 +101,12 @@ class TestBuffers:
         assert ct.key_ids() is ids
         assert ids[0] is ids[2]  # shared canonical ints, not fresh ones
 
+    def test_key_index_inverts_the_key_table(self):
+        ct = compile_trace(["a", "b", "a", 7])
+        index = ct.key_index()
+        assert index == {"a": 0, "b": 1, 7: 2}
+        assert ct.key_index() is index
+
     def test_checksum_stable_and_discriminating(self):
         a = compile_trace(["a", "b", "a"])
         b = compile_trace(["x", "y", "x"])  # same id structure

@@ -2,8 +2,8 @@
 
 ``tests/test_sim_vector.py`` pins the engine's results against the
 scalar engine; these tests pin how it gets them: which class does the
-eviction work, that a clone's slots are the trace's key ids, that the
-engine frees its clone when it returns, and the ordering contract of
+eviction work, that its twin's slots are the trace's key ids, that the
+engine frees its twin when it returns, and the ordering contract of
 the candidate/forced event merge.
 """
 
@@ -43,11 +43,12 @@ def test_kernel_is_the_array_twin(name, twin):
     kernel = vector._build_kernel(create_policy(name, 50), TRACE)
     assert type(kernel) is twin
     # Slot k is key id k: the residency bytes cover every id, and the
-    # clone never interned a key.
+    # twin's key maps are the trace's own.
     assert len(kernel._loc) >= TRACE.num_objects
     assert kernel._lazy is not None
     if twin is not vector._SFifoKernel:
-        assert kernel._ids == {}
+        assert kernel._ids is TRACE.key_index()
+        assert kernel._key_of is TRACE.key_table
 
 
 def test_clone_takes_the_reference_configuration():
