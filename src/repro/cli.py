@@ -177,9 +177,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_mrc(args: argparse.Namespace) -> int:
-    """Miss-ratio curve: exact for LRU and the FIFO family (one pass),
-    sampled for everything else."""
-    from repro.sim.mrc import fifo_mrc, lru_mrc, s3fifo_mrc, sampled_mrc
+    """Miss-ratio curve: SHARDS-sampled when --rate < 1, otherwise
+    exact — Mattson for lru, one single pass for the FIFO family, one
+    simulation per size for everything else."""
+    from repro.sim.mrc import fifo_mrc, lru_mrc, sampled_mrc
     from repro.sim.multisim import MULTISIM_POLICIES
     from repro.traces.datasets import generate_dataset_trace
     from repro.traces.synthetic import zipf_trace
@@ -197,77 +198,25 @@ def _cmd_mrc(args: argparse.Namespace) -> int:
         max(1, int(footprint * frac))
         for frac in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
     ]
-    method_arg = args.method
-    if method_arg == "auto":
-        # An explicit --rate < 1 asks for sampling; otherwise the
-        # cheapest exact method wins where one exists.
-        if args.policy == "lru" and args.rate >= 1.0:
-            method_arg = "exact"
-        elif args.policy in MULTISIM_POLICIES and args.rate >= 1.0:
-            method_arg = "single-pass"
-        elif args.policy == "s3fifo" and args.engine == "vector":
-            # An explicit vector request picks the exact per-size
-            # vector path over the default sampled estimate.
-            method_arg = "single-pass"
-        else:
-            method_arg = "sampled"
-    if method_arg == "exact" and args.policy in MULTISIM_POLICIES:
-        method_arg = "single-pass"  # the FIFO family's exact method
-    if method_arg == "exact":
-        if args.policy != "lru":
-            print(
-                f"error: no exact MRC method for {args.policy!r} "
-                f"(exact covers lru via Mattson and {MULTISIM_POLICIES} "
-                "via --method single-pass); use --method sampled",
-                file=sys.stderr,
-            )
-            return 2
-        curve = lru_mrc(trace, sizes=sizes)
-        method = "exact (Mattson)"
-    elif method_arg == "single-pass":
-        if args.policy in MULTISIM_POLICIES:
-            fifo_engine = "vector" if args.engine == "vector" else "auto"
-            curve = fifo_mrc(
-                trace, sizes=sizes, policy=args.policy, engine=fifo_engine
-            )
-            method = f"single-pass (exact, {fifo_engine})"
-        elif args.policy == "s3fifo":
-            if args.engine == "vector":
-                # Per-size vector passes: the exact curve, no sampling.
-                curve = s3fifo_mrc(trace, sizes, engine="vector")
-                method = "per-size vector (exact)"
-            else:
-                curve = s3fifo_mrc(
-                    trace,
-                    sizes,
-                    rate=min(args.rate, 1.0) if args.rate < 1.0 else 0.25,
-                    seed=args.seed,
-                    ensembles=args.ensembles,
-                )
-                method = (
-                    f"single-pass sampled (rate="
-                    f"{min(args.rate, 1.0) if args.rate < 1.0 else 0.25}, "
-                    f"ensembles={args.ensembles})"
-                )
-        else:
-            print(
-                f"error: --method single-pass covers {MULTISIM_POLICIES} "
-                "(exact) and s3fifo (sampled); use --method sampled for "
-                f"{args.policy!r}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
+    if args.rate < 1.0:
         curve = sampled_mrc(
             args.policy,
             trace,
             sizes=sizes,
-            rate=min(args.rate, 1.0),
+            rate=args.rate,
             seed=args.seed,
             ensembles=args.ensembles,
-            engine=args.engine,
         )
         method = f"sampled (rate={args.rate}, ensembles={args.ensembles})"
+    elif args.policy == "lru":
+        curve = lru_mrc(trace, sizes=sizes)
+        method = "exact (Mattson)"
+    elif args.policy in MULTISIM_POLICIES:
+        curve = fifo_mrc(trace, sizes=sizes, policy=args.policy)
+        method = "single-pass (exact)"
+    else:
+        curve = sampled_mrc(args.policy, trace, sizes=sizes, rate=1.0)
+        method = "per-size (exact)"
     print(f"policy: {args.policy}   method: {method}")
     for size, mr in zip(curve.sizes, curve.miss_ratios):
         bar = "#" * int(mr * 50)
@@ -844,6 +793,22 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sampling_rate(text: str) -> float:
+    """argparse type: a SHARDS sampling rate in (0, 1]."""
+    rate = float(text)
+    if not 0.0 < rate <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return rate
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="s3fifo-repro",
@@ -899,34 +864,24 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--scale", type=float, default=1.0)
     cmp_.add_argument("--seed", type=int, default=0)
 
-    mrc = sub.add_parser("mrc", help="miss-ratio curve for one policy")
-    mrc.add_argument("--policy", default="lru")
-    mrc.add_argument(
-        "--method",
-        choices=("auto", "exact", "sampled", "single-pass"),
-        default="auto",
-        help="auto picks the cheapest exact method (Mattson for lru, "
-        "single-pass for the FIFO family) and falls back to sampled",
+    mrc = sub.add_parser(
+        "mrc",
+        help="miss-ratio curve for one policy: exact by default, "
+        "SHARDS-sampled with --rate < 1",
     )
+    mrc.add_argument("--policy", default="lru")
     mrc.add_argument("--dataset", default=None)
     mrc.add_argument("--trace-index", type=int, default=0)
     mrc.add_argument("--objects", type=int, default=10_000)
     mrc.add_argument("--requests", type=int, default=200_000)
     mrc.add_argument("--alpha", type=float, default=1.0)
-    mrc.add_argument("--rate", type=float, default=1.0,
-                     help="spatial sampling rate (<1 enables SHARDS)")
-    mrc.add_argument("--ensembles", type=int, default=3)
+    mrc.add_argument("--rate", type=_sampling_rate, default=1.0,
+                     help="spatial sampling rate in (0, 1]; below 1 "
+                     "enables SHARDS")
+    mrc.add_argument("--ensembles", type=_positive_int, default=3,
+                     help="independent samples per sampled curve")
     mrc.add_argument("--scale", type=float, default=1.0)
     mrc.add_argument("--seed", type=int, default=0)
-    mrc.add_argument(
-        "--engine",
-        choices=("auto", "scalar", "vector"),
-        default="auto",
-        help="per-size simulation engine; --engine vector makes the "
-        "s3fifo single-pass method exact (per-size vector passes) "
-        "and switches the FIFO family from multisim to per-size "
-        "vector passes",
-    )
 
     res = sub.add_parser(
         "resilience",

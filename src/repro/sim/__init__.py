@@ -4,7 +4,10 @@ A miniature libCacheSim: streaming simulation of one policy over one
 trace (:func:`simulate`), metric helpers implementing the paper's
 miss-ratio-reduction formula (:mod:`repro.sim.metrics`), and a
 multiprocessing sweep runner standing in for the authors' distributed
-computation platform (:mod:`repro.sim.runner`).
+computation platform (:mod:`repro.sim.runner`).  Questions over many
+cache sizes have one path each: :func:`multisim` for exact FIFO-family
+counts (which :func:`run_sweep` uses for same-trace FIFO jobs), and
+:mod:`repro.sim.mrc` for miss-ratio curves.
 
 Attributes are resolved lazily (PEP 562): :mod:`repro.cache.base`
 imports :mod:`repro.sim.request` while the simulator imports the
@@ -30,12 +33,10 @@ __all__ = [
     "shutdown_pool",
     "MultiSizeSweepJob",
     "coalesce_jobs",
-    "run_multisize_sweep",
     "MultiSimResult",
     "multisim",
     "fifo_multisim",
     "sfifo_multisim",
-    "s3fifo_multisim_sampled",
 ]
 
 _LAZY = {
@@ -53,12 +54,10 @@ _LAZY = {
     "shutdown_pool": "repro.sim.runner",
     "MultiSizeSweepJob": "repro.sim.runner",
     "coalesce_jobs": "repro.sim.runner",
-    "run_multisize_sweep": "repro.sim.runner",
     "MultiSimResult": "repro.sim.multisim",
     "multisim": "repro.sim.multisim",
     "fifo_multisim": "repro.sim.multisim",
     "sfifo_multisim": "repro.sim.multisim",
-    "s3fifo_multisim_sampled": "repro.sim.multisim",
 }
 
 

@@ -1,33 +1,41 @@
-"""Miss-ratio curves: exact (LRU) and sampled (any policy).
+"""Miss-ratio curves: one implementation per question.
 
 Section 6.2.3 of the paper points operators who need per-workload
 parameters to "downsized simulations using spatial sampling"
-(SHARDS / miniature simulations).  This module provides both halves:
+(SHARDS / miniature simulations).  Each multi-size question has one
+function here:
 
-* :func:`lru_mrc` — the exact LRU miss-ratio curve in one pass via
-  Mattson's stack algorithm (reuse distances with a Fenwick tree,
-  O(N log N)).
-* :func:`fifo_mrc` — the exact FIFO / S-FIFO miss-ratio curve in one
-  pass via the single-pass multi-size engine
-  (:mod:`repro.sim.multisim`), replacing per-size re-simulation.
-* :func:`s3fifo_mrc` — the *approximate* S3-FIFO curve from one pass
-  over a spatial sample, error-bounded against exact re-simulation.
-* :func:`sampled_mrc` — SHARDS-style spatial sampling for *arbitrary*
-  policies: keep the keys whose hash falls under the sampling
-  threshold, simulate at a proportionally downsized cache, and read
-  the full-size miss ratio off the miniature simulation.
+* :func:`lru_mrc` — the exact LRU curve in one pass via Mattson's
+  stack algorithm (reuse distances with a Fenwick tree, O(N log N)).
+* :func:`fifo_mrc` — the exact FIFO / S-FIFO curve in one pass via the
+  single-pass multi-size engine (:mod:`repro.sim.multisim`).
+* :func:`sampled_mrc` — every other curve, for any policy.  At
+  ``rate < 1`` it is SHARDS: keep the keys whose hash falls under the
+  sampling threshold, simulate at a proportionally downsized cache,
+  and read the full-size miss ratio off the miniature simulation.  At
+  ``rate=1.0`` it is exact: the full trace simulated once per size.
+
+Every function validates its sizes the same way (non-empty, positive)
+and returns them sorted and de-duplicated.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.cache.registry import create_policy
+from repro.sim.multisim import _validate_sizes, multisim
 from repro.sim.simulator import simulate
 from repro.structures.fenwick import FenwickTree
 from repro.structures.ghost import fingerprint
 from repro.traces.compiled import CompiledTrace, compile_trace
+
+#: Mean-absolute-error bound of ``sampled_mrc("s3fifo", ...)`` at
+#: ``rate=0.25`` / ``ensembles=3`` against exact per-size
+#: re-simulation on the synthetic workloads (pinned by
+#: ``tests/test_multisim.py``; see docs/PERFORMANCE.md).
+S3FIFO_MRC_ERROR_BOUND = 0.05
 
 
 class MissRatioCurve:
@@ -122,21 +130,19 @@ def lru_mrc(
     if not distances:
         raise ValueError("cannot build an MRC from an empty trace")
     max_distance = max((d for d in distances if d is not None), default=1)
-    if sizes is None:
-        sizes = _default_sizes(max_distance)
+    sorted_sizes = (
+        _default_sizes(max_distance) if sizes is None
+        else _validate_sizes(sizes)
+    )
     histogram: Dict[int, int] = {}
-    infinite = 0
     for d in distances:
-        if d is None:
-            infinite += 1
-        else:
+        if d is not None:
             histogram[d] = histogram.get(d, 0) + 1
     total = len(distances)
     # One cumulative sweep over the sorted histogram: both the sizes
     # and the distances are visited in ascending order, so each
     # distance bucket is added exactly once — O(|sizes| + |distances|)
     # instead of re-summing the histogram per requested size.
-    sorted_sizes = sorted(sizes)
     sorted_dists = sorted(histogram)
     num_dists = len(sorted_dists)
     miss_ratios = []
@@ -154,7 +160,6 @@ def fifo_mrc(
     trace: Sequence[Hashable],
     sizes: Optional[Sequence[int]] = None,
     policy: str = "fifo",
-    engine: str = "auto",
     **policy_kwargs,
 ) -> MissRatioCurve:
     """Exact FIFO-family miss-ratio curve over the trace.
@@ -162,92 +167,22 @@ def fifo_mrc(
     The sibling of :func:`lru_mrc` for ``fifo`` (or its bit-identical
     ``fifo-fast`` twin) and ``sfifo``: instead of Mattson's stack
     algorithm — FIFO is not a stack algorithm, Belady's anomaly is its
-    counterexample — the curve comes from an exact engine pinned
-    bit-identical to per-size :func:`~repro.sim.simulate` runs.  With
-    ``sizes`` omitted, a power-of-two ladder up to the trace footprint
-    is used, mirroring :func:`lru_mrc`.
+    counterexample — one :func:`repro.sim.multisim.multisim` pass
+    answers every size at once, bit-identical to per-size
+    :func:`~repro.sim.simulate` runs.  With ``sizes`` omitted, a
+    power-of-two ladder up to the trace footprint is used, mirroring
+    :func:`lru_mrc`.
 
-    ``engine`` selects how the per-size points are computed, all
-    bit-identical:
-
-    * ``"auto"`` / ``"multisim"`` — one single pass over the trace
-      answers every size at once (:func:`repro.sim.multisim.multisim`).
-      Cheapest when many sizes are requested.
-    * ``"vector"`` — one vectorized hit-run pass *per size*
-      (:mod:`repro.sim.vector`).  Cheapest for a handful of sizes on
-      high-hit-ratio traces, where each pass touches only miss events.
+    When the cache holds most of the keys a hit-heavy trace touches,
+    one to three per-size :func:`~repro.sim.simulate` runs are cheaper
+    (see :mod:`repro.sim.multisim`); call it directly there.
     """
     compiled = compile_trace(trace)
     if len(compiled) == 0:
         raise ValueError("cannot build an MRC from an empty trace")
     if sizes is None:
         sizes = _default_sizes(compiled.num_objects)
-    if engine == "vector":
-        sorted_sizes = sorted(set(sizes))
-        miss_ratios = []
-        for size in sorted_sizes:
-            cache = create_policy(policy, capacity=size, **policy_kwargs)
-            result = simulate(cache, compiled, engine="vector")
-            miss_ratios.append(result.miss_ratio)
-        return MissRatioCurve(sorted_sizes, miss_ratios)
-    if engine not in ("auto", "multisim"):
-        raise ValueError(
-            "engine must be 'auto', 'multisim', or 'vector', "
-            f"got {engine!r}"
-        )
-    from repro.sim.multisim import multisim
-
-    result = multisim(policy, compiled, sizes, **policy_kwargs)
-    return result.to_curve()
-
-
-def s3fifo_mrc(
-    trace: Sequence[Hashable],
-    sizes: Sequence[int],
-    rate: float = 0.25,
-    seed: int = 0,
-    ensembles: int = 3,
-    engine: str = "sampled",
-    **policy_kwargs,
-) -> MissRatioCurve:
-    """S3-FIFO miss-ratio curve: sampled-approximate or vector-exact.
-
-    ``engine="sampled"`` (default): one pass over a SHARDS spatial
-    sample advances a downsized S3-FIFO per requested size
-    simultaneously (see
-    :func:`repro.sim.multisim.s3fifo_multisim_sampled`).  At the
-    defaults the mean absolute error against exact per-size
-    re-simulation is bounded by
-    :data:`repro.sim.multisim.S3FIFO_MRC_ERROR_BOUND` on the synthetic
-    workloads.
-
-    ``engine="vector"``: the *exact* curve, one vectorized hit-run pass
-    per size over the full trace (:mod:`repro.sim.vector`) —
-    bit-identical to per-size scalar re-simulation, no sampling error.
-    ``rate``/``seed``/``ensembles`` are ignored on this path.
-    """
-    if engine == "vector":
-        compiled = compile_trace(trace)
-        if len(compiled) == 0:
-            raise ValueError("cannot build an MRC from an empty trace")
-        sorted_sizes = sorted(set(sizes))
-        miss_ratios = []
-        for size in sorted_sizes:
-            cache = create_policy("s3fifo", capacity=size, **policy_kwargs)
-            result = simulate(cache, compiled, engine="vector")
-            miss_ratios.append(result.miss_ratio)
-        return MissRatioCurve(sorted_sizes, miss_ratios)
-    if engine != "sampled":
-        raise ValueError(
-            f"engine must be 'sampled' or 'vector', got {engine!r}"
-        )
-    from repro.sim.multisim import s3fifo_multisim_sampled
-
-    result = s3fifo_multisim_sampled(
-        trace, sizes, rate=rate, seed=seed, ensembles=ensembles,
-        **policy_kwargs,
-    )
-    return result.to_curve()
+    return multisim(policy, compiled, sizes, **policy_kwargs).to_curve()
 
 
 def _default_sizes(max_distance: int) -> List[int]:
@@ -384,7 +319,6 @@ def sampled_mrc(
     rate: float = 0.1,
     seed: int = 0,
     ensembles: int = 1,
-    engine: str = "auto",
     **policy_kwargs,
 ) -> MissRatioCurve:
     """Downsized-simulation MRC for an arbitrary policy.
@@ -392,6 +326,8 @@ def sampled_mrc(
     Each requested cache ``size`` is simulated on a spatial sample at
     ``max(1, size * rate)`` capacity; the measured miss ratio estimates
     the full-trace miss ratio at ``size`` (SHARDS' fixed-rate variant).
+    For S3-FIFO at ``rate=0.25``, ``ensembles=3`` the mean absolute
+    error is bounded by :data:`S3FIFO_MRC_ERROR_BOUND`.
 
     A single sample is an unbiased but *noisy* estimator on skewed
     workloads: whether the few hottest keys land in the sample moves
@@ -400,42 +336,47 @@ def sampled_mrc(
     (ratio of sums), which is how SHARDS-style mini-simulations are
     deployed in practice.
 
-    ``engine`` is forwarded to each miniature simulation (see
-    :func:`repro.sim.simulator.simulate_compiled`): ``"auto"`` lets
-    FIFO-family policies run on the vector engine, ``"scalar"`` forces
-    the classic paths, ``"vector"`` requires vector eligibility.
+    ``rate=1.0`` keeps every key, so the curve is exact: the compiled
+    trace is simulated once per size and ``ensembles`` is ignored.
     """
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
+    caps = _validate_sizes(sizes)
     if ensembles < 1:
         raise ValueError(f"ensembles must be >= 1, got {ensembles}")
     # Compile the full trace once so every ensemble's spatial filter
     # runs vectorized over the same interned id buffer.
     full = compile_trace(trace)
-    samples = []
-    for i in range(ensembles):
-        sample = spatial_sample(full, rate, seed=seed + i)
-        if sample:
-            # Compile once per ensemble member: every requested size
-            # re-simulates the same sample, and compiled traces give
-            # fast policies their batch path for free.
-            samples.append(compile_trace(sample, name=f"sample-{seed + i}"))
-    if not samples:
-        raise ValueError(
-            f"sampling rate {rate} produced an empty trace; raise the rate"
-        )
+    if len(full) == 0:
+        raise ValueError("cannot build an MRC from an empty trace")
+    if rate == 1.0:
+        # Every key survives a full-rate sample: simulate the trace itself.
+        samples = [full]
+    else:
+        samples = []
+        for i in range(ensembles):
+            sample = spatial_sample(full, rate, seed=seed + i)
+            if sample:
+                # Compile once per ensemble member: every requested
+                # size re-simulates the same sample.
+                samples.append(
+                    compile_trace(sample, name=f"sample-{seed + i}")
+                )
+        if not samples:
+            raise ValueError(
+                f"sampling rate {rate} produced an empty trace; "
+                "raise the rate"
+            )
     miss_ratios = []
-    for size in sorted(sizes):
+    for size in caps:
         scaled = max(1, int(size * rate))
         misses = 0
         requests = 0
         for sample in samples:
             cache = create_policy(policy, capacity=scaled, **policy_kwargs)
-            result = simulate(cache, sample, engine=engine)
+            result = simulate(cache, sample)
             misses += result.misses
             requests += result.requests
-        miss_ratios.append(misses / requests if requests else 0.0)
-    return MissRatioCurve(sorted(sizes), miss_ratios)
+        miss_ratios.append(misses / requests)
+    return MissRatioCurve(caps, miss_ratios)
 
 
 def mrc_error(

@@ -23,21 +23,30 @@ mask — a single integer compare.  Only the sizes that miss pay
 per-size work, and total insert/evict work is bounded by the sum of
 per-size miss counts, not |sizes| x |trace|.
 
-Three engines:
+Two engines, both exact:
 
-* :func:`fifo_multisim` — exact, for ``fifo`` (and its bit-identical
+* :func:`fifo_multisim` — for ``fifo`` (and its bit-identical
   ``fifo-fast`` twin).
-* :func:`sfifo_multisim` — exact, for the two-segment ``sfifo``.
-* :func:`s3fifo_multisim_sampled` — *approximate*, for S3-FIFO: its
-  three-queue structure couples sizes through the ghost queue and the
-  per-object frequency bits, so the exact bitmask trick buys nothing;
-  instead one pass over a SHARDS spatial sample advances every
-  (downsized) cache size simultaneously.  Accuracy is pinned against
-  exact re-simulation by :data:`S3FIFO_MRC_ERROR_BOUND`.
+* :func:`sfifo_multisim` — for the two-segment ``sfifo``.
 
-All engines operate on :class:`~repro.traces.compiled.CompiledTrace`
+S3-FIFO has no engine here: its ghost queue and frequency bits couple
+a key's fate across sizes, so per-size state does not compress to
+residency bitmasks.  Its curves come from
+:func:`repro.sim.mrc.sampled_mrc`, the one SHARDS path.
+
+Both engines operate on :class:`~repro.traces.compiled.CompiledTrace`
 id buffers (raw traces are compiled on entry) and accept unit-size and
 sized traces alike.
+
+When one pass is not the cheapest.  The pass steps every request in
+Python, while the default engine skips hit runs in NumPy.  On
+1M-request Zipf traces over 100k objects (2-CPU host, CPython 3.11),
+with alpha <= 1.0 a pass beat per-size default-engine
+:func:`repro.sim.simulate` runs at 1, 3 and 8 sizes, by 1.25-4.0x.  When
+the cache holds most of the keys a hit-heavy trace touches (alpha 1.6:
+7.4k distinct keys, caches of 10k-50k objects), per-size runs win for
+one to three sizes, by up to 9x for ``sfifo``.  A caller in that case
+runs :func:`repro.sim.simulate` once per size.
 """
 
 from __future__ import annotations
@@ -47,12 +56,6 @@ from collections import OrderedDict, deque
 from typing import Dict, List, Sequence
 
 from repro.traces.compiled import CompiledTrace, compile_trace
-
-#: Mean-absolute-error bound of :func:`s3fifo_multisim_sampled` against
-#: exact per-size re-simulation, at the default ``rate=0.25`` /
-#: ``ensembles=3`` on the synthetic workloads (pinned by
-#: ``tests/test_multisim.py``; see docs/PERFORMANCE.md).
-S3FIFO_MRC_ERROR_BOUND = 0.05
 
 #: Registry names the exact engines cover.  ``fifo-fast`` is included
 #: because the fast twin is pinned bit-identical to ``fifo``, so one
@@ -66,8 +69,7 @@ class MultiSimResult:
     ``sizes`` is sorted and de-duplicated; the per-size sequences
     (``misses``, ``bytes_missed``, ``evictions``) align with it.
     ``requests``/``bytes_requested`` are scalars — every size saw the
-    same trace.  ``exact`` distinguishes the bit-exact FIFO/S-FIFO
-    engines from the sampled S3-FIFO estimator.
+    same trace.
     """
 
     __slots__ = (
@@ -78,7 +80,6 @@ class MultiSimResult:
         "evictions",
         "requests",
         "bytes_requested",
-        "exact",
     )
 
     def __init__(
@@ -90,7 +91,6 @@ class MultiSimResult:
         evictions: Sequence[int],
         requests: int,
         bytes_requested: int,
-        exact: bool = True,
     ) -> None:
         self.policy_name = policy_name
         self.sizes = list(sizes)
@@ -99,7 +99,6 @@ class MultiSimResult:
         self.evictions = list(evictions)
         self.requests = requests
         self.bytes_requested = bytes_requested
-        self.exact = exact
 
     @property
     def miss_ratios(self) -> List[float]:
@@ -116,7 +115,7 @@ class MultiSimResult:
     def result_for(self, size: int):
         """The :class:`~repro.sim.simulator.SimulationResult` view of
         one measured size (bit-identical to a per-size ``simulate``
-        run for the exact engines)."""
+        run)."""
         from repro.sim.simulator import SimulationResult
 
         try:
@@ -145,12 +144,12 @@ class MultiSimResult:
         points = ", ".join(
             f"{s}:{mr:.3f}" for s, mr in zip(self.sizes, self.miss_ratios)
         )
-        tag = "exact" if self.exact else "approx"
-        return f"MultiSimResult({self.policy_name}, {tag}, {points})"
+        return f"MultiSimResult({self.policy_name}, {points})"
 
 
 def _validate_sizes(sizes: Sequence[int]) -> List[int]:
-    """Sorted, de-duplicated capacities; mirrors the policy-capacity
+    """Sorted, de-duplicated capacities, for every multi-size function
+    (the MRCs in :mod:`repro.sim.mrc` too); mirrors the policy-capacity
     validation so a bad size fails the same way ``create_policy`` would."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -441,89 +440,4 @@ def multisim(
     raise ValueError(
         f"multisim supports the FIFO family {MULTISIM_POLICIES}, "
         f"got {policy!r}; use simulate()/sampled_mrc for other policies"
-    )
-
-
-# ----------------------------------------------------------------------
-# S3-FIFO (approximate)
-# ----------------------------------------------------------------------
-def s3fifo_multisim_sampled(
-    trace,
-    sizes: Sequence[int],
-    rate: float = 0.25,
-    seed: int = 0,
-    ensembles: int = 3,
-    policy: str = "s3fifo",
-    **policy_kwargs,
-) -> MultiSimResult:
-    """Approximate S3-FIFO miss ratios at every size in one sampled pass.
-
-    S3-FIFO breaks the cheap exact trick: hits move frequency bits that
-    later decide evictions, and the ghost queue couples a key's fate
-    across sizes, so per-size state cannot be compressed to residency
-    bitmasks.  Instead this runs SHARDS spatial sampling *once* and
-    advances one downsized cache per requested size simultaneously
-    while streaming the sample — a single pass over ``rate`` of the
-    trace instead of |sizes| exact passes.
-
-    With the defaults (``rate=0.25``, ``ensembles=3``) the mean
-    absolute error against exact per-size re-simulation stays within
-    :data:`S3FIFO_MRC_ERROR_BOUND` on the synthetic workloads; the
-    differential suite pins this.  ``ensembles`` independent samples
-    are aggregated by ratio-of-sums, which averages away the hot-key
-    lottery exactly as :func:`repro.sim.mrc.sampled_mrc` does.
-    """
-    from repro.cache.registry import create_policy
-    from repro.sim.mrc import spatial_sample
-
-    caps = _validate_sizes(sizes)
-    if ensembles < 1:
-        raise ValueError(f"ensembles must be >= 1, got {ensembles}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
-    k = len(caps)
-    misses = [0] * k
-    bytes_missed = [0] * k
-    evictions = [0] * k
-    requests = 0
-    bytes_requested = 0
-    ran = False
-    # Compile the full trace once: the spatial filter then runs
-    # vectorized over the interned id buffer for every ensemble.
-    trace = compile_trace(trace)
-    for e in range(ensembles):
-        sample = spatial_sample(trace, rate, seed=seed + e)
-        if not sample:
-            continue
-        ran = True
-        ct = compile_trace(sample, name=f"mrc-sample-{seed + e}")
-        caches = [
-            create_policy(
-                policy, capacity=max(1, int(c * rate)), **policy_kwargs
-            )
-            for c in caps
-        ]
-        for req in ct.iter_requests(reuse=True):
-            for cache in caches:
-                cache.request(req)
-        st0 = caches[0].stats
-        requests += st0.requests
-        bytes_requested += st0.bytes_requested
-        for j, cache in enumerate(caches):
-            misses[j] += cache.stats.misses
-            bytes_missed[j] += cache.stats.bytes_missed
-            evictions[j] += cache.stats.evictions
-    if not ran:
-        raise ValueError(
-            f"sampling rate {rate} produced an empty trace; raise the rate"
-        )
-    return MultiSimResult(
-        policy_name=policy,
-        sizes=caps,
-        misses=misses,
-        bytes_missed=bytes_missed,
-        evictions=evictions,
-        requests=requests,
-        bytes_requested=bytes_requested,
-        exact=False,
     )

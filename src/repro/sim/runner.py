@@ -6,6 +6,12 @@ a multiprocessing pool that executes (trace, policy, cache size) jobs,
 regenerating synthetic traces inside the workers so no bulk data is
 pickled, and tolerating individual job failures (a failed job returns
 an error result instead of aborting the sweep).
+
+:func:`run_sweep` is the only sweep entry point.  FIFO-family jobs that
+differ only in cache size are coalesced into one
+:class:`MultiSizeSweepJob` (one :mod:`repro.sim.multisim` pass answers
+every size), so a work unit is either one job or one such group; both
+go through the same pool, retry, timeout and sequential fallback.
 """
 
 from __future__ import annotations
@@ -290,21 +296,12 @@ def execute_job(job: SweepJob) -> SweepResult:
             tags=job.tags,
         )
     except Exception:  # noqa: BLE001 - fault tolerance is the point
-        return SweepResult(
-            trace_name=job.trace_name,
-            policy=job.policy,
-            cache_size=job.cache_size,
-            wall_time=time.perf_counter() - start,
-            peak_rss_kb=_peak_rss_kb(),
-            tags=job.tags,
-            error=traceback.format_exc(),
-        )
-
-
-def _execute_indexed(item):
-    """Pool worker shim: ``(idx, job) -> (idx, result)``."""
-    idx, job = item
-    return idx, execute_job(job)
+        return _error_results(
+            job,
+            traceback.format_exc(),
+            time.perf_counter() - start,
+            _peak_rss_kb(),
+        )[0]
 
 
 class MultiSizeSweepJob:
@@ -360,15 +357,17 @@ class MultiSizeSweepJob:
 
 def _group_key(job: SweepJob):
     """Coalescing identity of a job (None when kwargs are unhashable)."""
+    key = (
+        job.trace_name,
+        tuple(sorted(job.trace_kwargs.items())),
+        job.policy,
+        tuple(sorted(job.policy_kwargs.items())),
+    )
     try:
-        return (
-            job.trace_name,
-            tuple(sorted(job.trace_kwargs.items())),
-            job.policy,
-            tuple(sorted(job.policy_kwargs.items())),
-        )
+        hash(key)
     except TypeError:
         return None
+    return key
 
 
 def coalesce_jobs(jobs: Sequence[SweepJob]):
@@ -388,8 +387,7 @@ def coalesce_jobs(jobs: Sequence[SweepJob]):
         # Engine-pinned jobs stay singles: coalescing runs the
         # multisim engine, which would override an explicit choice.
         coalescible = (
-            job.policy in MULTISIM_POLICIES
-            and getattr(job, "engine", "auto") == "auto"
+            job.policy in MULTISIM_POLICIES and job.engine == "auto"
         )
         key = _group_key(job) if coalescible else None
         if key is None:
@@ -458,42 +456,47 @@ def execute_multi_job(mjob: MultiSizeSweepJob) -> List[SweepResult]:
             )
         return out
     except Exception:  # noqa: BLE001 - fault tolerance, as execute_job
-        error = traceback.format_exc()
-        wall = time.perf_counter() - start
-        rss = _peak_rss_kb()
-        return [
-            SweepResult(
-                trace_name=mjob.trace_name,
-                policy=mjob.policy,
-                cache_size=size,
-                wall_time=wall,
-                peak_rss_kb=rss,
-                tags=dict(tags),
-                error=error,
-            )
-            for size, tags in zip(mjob.cache_sizes, mjob.tags_per_size)
-        ]
+        return _error_results(
+            mjob,
+            traceback.format_exc(),
+            time.perf_counter() - start,
+            _peak_rss_kb(),
+        )
 
 
-def _execute_multi_indexed(item):
-    """Pool worker shim: ``(indices, mjob) -> (indices, results)``."""
-    indices, mjob = item
-    return indices, execute_multi_job(mjob)
+def _error_results(
+    unit, error: str, wall_time: float = 0.0, peak_rss_kb: int = 0
+) -> List[SweepResult]:
+    """One failed :class:`SweepResult` per job of a work unit."""
+    if isinstance(unit, MultiSizeSweepJob):
+        sizes, tags = unit.cache_sizes, unit.tags_per_size
+    else:
+        sizes, tags = [unit.cache_size], [unit.tags]
+    return [
+        SweepResult(
+            trace_name=unit.trace_name,
+            policy=unit.policy,
+            cache_size=size,
+            wall_time=wall_time,
+            peak_rss_kb=peak_rss_kb,
+            tags=size_tags,
+            error=error,
+        )
+        for size, size_tags in zip(sizes, tags)
+    ]
 
 
-def _timeout_result(
-    job: SweepJob, timeout: float, attempt: int
-) -> SweepResult:
-    return SweepResult(
-        trace_name=job.trace_name,
-        policy=job.policy,
-        cache_size=job.cache_size,
-        tags=job.tags,
-        error=(
-            f"SweepTimeout: job exceeded {timeout}s "
-            f"(attempt {attempt})\n"
-        ),
-    )
+def _execute_unit(unit) -> List[SweepResult]:
+    """Run one work unit: a :class:`SweepJob` or a coalesced group."""
+    if isinstance(unit, MultiSizeSweepJob):
+        return execute_multi_job(unit)
+    return [execute_job(unit)]
+
+
+def _execute_indexed(item):
+    """Pool worker shim: ``(indices, unit) -> (indices, results)``."""
+    indices, unit = item
+    return indices, _execute_unit(unit)
 
 
 _pool: Optional[multiprocessing.pool.Pool] = None
@@ -545,25 +548,38 @@ def _sweep_chunksize(num_jobs: int, processes: int) -> int:
     return max(1, min(64, num_jobs // (processes * 4) or 1))
 
 
+def _place(results, indices, unit_results, attempt) -> bool:
+    """File a unit's results under its jobs' indices; True if any failed."""
+    failed = False
+    for idx, result in zip(indices, unit_results):
+        result.tags["attempts"] = attempt
+        results[idx] = result
+        failed = failed or not result.ok
+    return failed
+
+
 def _pool_round(pool, pending, results, timeout, attempt):
-    """Submit one round of jobs; returns the (index, job) pairs that
-    failed or timed out and are eligible for another attempt."""
+    """Submit one round of work units; returns the ``(indices, unit)``
+    pairs that failed or timed out and are eligible for another
+    attempt."""
     submitted = [
-        (idx, job, pool.apply_async(execute_job, (job,)))
-        for idx, job in pending
+        (indices, unit, pool.apply_async(_execute_unit, (unit,)))
+        for indices, unit in pending
     ]
     failed = []
-    for idx, job, handle in submitted:
+    for indices, unit, handle in submitted:
         try:
-            result = handle.get(timeout)
+            unit_results = handle.get(timeout)
         except multiprocessing.TimeoutError:
             # The worker may still be burning CPU; run_sweep discards
             # the shared pool after a sweep that saw timeouts.
-            result = _timeout_result(job, timeout, attempt)
-        result.tags["attempts"] = attempt
-        results[idx] = result
-        if not result.ok:
-            failed.append((idx, job))
+            unit_results = _error_results(
+                unit,
+                f"SweepTimeout: job exceeded {timeout}s "
+                f"(attempt {attempt})\n",
+            )
+        if _place(results, indices, unit_results, attempt):
+            failed.append((indices, unit))
     return failed
 
 
@@ -603,9 +619,15 @@ def run_sweep(
 ) -> SweepReport:
     """Execute jobs, in parallel when ``processes`` allows it.
 
-    ``processes=None`` uses one worker per CPU (capped at the job
-    count); ``processes<=1`` runs sequentially in-process, which is
-    also the fallback when the platform cannot fork.
+    FIFO-family jobs that share trace, policy and kwargs and differ
+    only in cache size run as one single-pass multi-size simulation
+    (see :func:`coalesce_jobs`); their results are bit-identical to
+    per-job runs and carry a ``coalesced`` tag.  Results come back in
+    input order, one per job.
+
+    ``processes=None`` uses one worker per CPU (capped at the number of
+    work units); ``processes<=1`` runs sequentially in-process, which
+    is also the fallback when the platform cannot fork.
 
     Parallel sweeps run on a persistent worker pool that survives
     across calls (see :func:`shutdown_pool`), so repeated sweeps reuse
@@ -614,14 +636,14 @@ def run_sweep(
     via ``imap_unordered`` with a tuned chunksize so small jobs don't
     pay one IPC round-trip each.
 
-    With ``retry`` set, failed (or timed-out) jobs are re-executed up
-    to ``retry.max_attempts`` times; backoff delays are not slept —
-    sweeps are batch work, the retry policy only bounds the attempt
-    count and timeout.  ``timeout`` (seconds per job attempt, parallel
-    mode only — a stuck in-process job cannot be preempted) defaults to
-    ``retry.attempt_timeout``.  Each result records its attempt count
-    in ``tags["attempts"]``, and the returned :class:`SweepReport`
-    aggregates whatever still failed.
+    With ``retry`` set, failed (or timed-out) work units are
+    re-executed up to ``retry.max_attempts`` times; backoff delays are
+    not slept — sweeps are batch work, the retry policy only bounds the
+    attempt count and timeout.  ``timeout`` (seconds per unit attempt,
+    parallel mode only — a stuck in-process job cannot be preempted)
+    defaults to ``retry.attempt_timeout``.  Each result records its
+    attempt count in ``tags["attempts"]``, and the returned
+    :class:`SweepReport` aggregates whatever still failed.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) records
     job counts by status, retry counts, and a per-job wall-time
@@ -631,32 +653,36 @@ def run_sweep(
     report = SweepReport()
     if not job_list:
         return report
+    groups, singles = coalesce_jobs(job_list)
+    units = sorted(
+        groups + [([idx], job) for idx, job in singles],
+        key=lambda unit: unit[0][0],
+    )
     if timeout is None and retry is not None:
         timeout = retry.attempt_timeout
     max_attempts = retry.max_attempts if retry is not None else 1
     if processes is None:
-        processes = min(len(job_list), multiprocessing.cpu_count())
+        processes = min(len(units), multiprocessing.cpu_count())
 
     results: Dict[int, SweepResult] = {}
-    pending = list(enumerate(job_list))
-    if processes > 1 and len(job_list) > 1:
+    pending = units
+    if processes > 1 and len(units) > 1:
         try:
             pool = _get_pool(processes)
             if timeout is None and max_attempts == 1:
-                chunksize = _sweep_chunksize(len(job_list), processes)
+                chunksize = _sweep_chunksize(len(units), processes)
                 logger.debug(
-                    "sweep dispatch: %d jobs on %d workers, "
+                    "sweep dispatch: %d units on %d workers, "
                     "chunksize=%d (~%d chunks)",
-                    len(job_list),
+                    len(units),
                     processes,
                     chunksize,
-                    -(-len(job_list) // chunksize),
+                    -(-len(units) // chunksize),
                 )
-                for idx, result in pool.imap_unordered(
-                    _execute_indexed, pending, chunksize=chunksize
+                for indices, unit_results in pool.imap_unordered(
+                    _execute_indexed, units, chunksize=chunksize
                 ):
-                    result.tags["attempts"] = 1
-                    results[idx] = result
+                    _place(results, indices, unit_results, 1)
                 pending = []
             else:
                 for attempt in range(1, max_attempts + 1):
@@ -678,82 +704,15 @@ def run_sweep(
             # rebuild it next time.
             shutdown_pool()
             results.clear()
-            pending = list(enumerate(job_list))
+            pending = units
     for attempt in range(1, max_attempts + 1):
         if not pending:
             break
         failed = []
-        for idx, job in pending:
-            result = execute_job(job)
-            result.tags["attempts"] = attempt
-            results[idx] = result
-            if not result.ok:
-                failed.append((idx, job))
+        for indices, unit in pending:
+            if _place(results, indices, _execute_unit(unit), attempt):
+                failed.append((indices, unit))
         pending = failed
-    report.extend(results[idx] for idx in sorted(results))
-    report.log_failures()
-    if metrics is not None:
-        _record_sweep_metrics(metrics, report)
-    return report
-
-
-def run_multisize_sweep(
-    jobs: Iterable[SweepJob],
-    processes: Optional[int] = None,
-    metrics=None,
-) -> SweepReport:
-    """Like :func:`run_sweep`, but FIFO-family jobs that differ only in
-    cache size collapse into single-pass multi-size simulations.
-
-    An MRC-style sweep — one trace, one policy, N sizes — becomes one
-    pass over the trace instead of N (see :mod:`repro.sim.multisim`);
-    everything else (other policies, lone sizes, unhashable kwargs)
-    runs through the ordinary :func:`run_sweep` machinery.  Results
-    come back in input order with miss ratios bit-identical to the
-    uncoalesced sweep; coalesced rows carry a ``coalesced`` tag.
-    Retry/timeout semantics are not offered here — multi-size groups
-    are the fast path; use :func:`run_sweep` when you need them.
-    """
-    job_list = list(jobs)
-    report = SweepReport()
-    if not job_list:
-        return report
-    groups, singles = coalesce_jobs(job_list)
-    if not groups:
-        return run_sweep(job_list, processes=processes, metrics=metrics)
-    if processes is None:
-        processes = min(
-            len(groups) + len(singles), multiprocessing.cpu_count()
-        )
-
-    results: Dict[int, SweepResult] = {}
-
-    def _place(indices: Sequence[int], group_results) -> None:
-        for idx, result in zip(indices, group_results):
-            result.tags["attempts"] = 1
-            results[idx] = result
-
-    pending_groups = list(groups)
-    if processes > 1 and len(pending_groups) > 1:
-        try:
-            pool = _get_pool(processes)
-            for indices, group_results in pool.imap_unordered(
-                _execute_multi_indexed, pending_groups
-            ):
-                _place(indices, group_results)
-            pending_groups = []
-        except (OSError, pickle.PicklingError, AttributeError):
-            # Same degradation as run_sweep: no fork / unpicklable
-            # factory falls back to in-process execution.
-            shutdown_pool()
-    for indices, mjob in pending_groups:
-        _place(indices, execute_multi_job(mjob))
-    if singles:
-        singles_report = run_sweep(
-            [job for _, job in singles], processes=processes
-        )
-        for (idx, _), result in zip(singles, singles_report):
-            results[idx] = result
     report.extend(results[idx] for idx in sorted(results))
     report.log_failures()
     if metrics is not None:

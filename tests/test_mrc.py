@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.cache.lru import LruCache
 from repro.sim.mrc import (
     MissRatioCurve,
+    fifo_mrc,
     lru_mrc,
     mrc_error,
     reuse_distances,
@@ -131,12 +132,13 @@ class TestLruMrc:
             if d is not None:
                 histogram[d] = histogram.get(d, 0) + 1
         total = len(distances)
+        # Sizes come back de-duplicated: the repeated 64 is one point.
         expected = [
             (total - sum(c for d, c in histogram.items() if d <= size))
             / total
-            for size in sorted(sizes)
+            for size in sorted(set(sizes))
         ]
-        assert curve.sizes == sorted(sizes)
+        assert curve.sizes == sorted(set(sizes))
         assert curve.miss_ratios == expected  # ==, not approx: bytes
 
     def test_empty_trace_raises(self):
@@ -210,3 +212,34 @@ class TestSampledMrc:
         a = MissRatioCurve([10], [0.5])
         b = MissRatioCurve([10], [0.4])
         assert mrc_error(a, b) == pytest.approx(0.1)
+
+
+#: Every MRC function, as ``(trace, sizes) -> MissRatioCurve``.
+MRC_FUNCTIONS = {
+    "lru_mrc": lambda trace, sizes: lru_mrc(trace, sizes=sizes),
+    "fifo_mrc": lambda trace, sizes: fifo_mrc(trace, sizes=sizes),
+    "sampled_mrc": lambda trace, sizes: sampled_mrc(
+        "s3fifo", trace, sizes=sizes, rate=0.5
+    ),
+    "sampled_mrc-exact": lambda trace, sizes: sampled_mrc(
+        "sieve", trace, sizes=sizes, rate=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MRC_FUNCTIONS))
+class TestSizeValidation:
+    """One size contract for every MRC function: non-empty, positive,
+    and returned sorted and de-duplicated."""
+
+    TRACE = zipf_trace(500, 5000, alpha=1.0, seed=1)
+
+    @pytest.mark.parametrize("sizes", [[], [0, 50], [-3, 50]])
+    def test_rejects_empty_and_nonpositive(self, name, sizes):
+        with pytest.raises(ValueError):
+            MRC_FUNCTIONS[name](self.TRACE, sizes)
+
+    def test_sorts_and_deduplicates(self, name):
+        curve = MRC_FUNCTIONS[name](self.TRACE, [200, 50, 200, 50])
+        assert curve.sizes == [50, 200]
+        assert len(curve.miss_ratios) == 2

@@ -1,12 +1,12 @@
-"""Vectorized SHARDS sampling and vector-engine MRC paths.
+"""Vectorized SHARDS sampling and the exact MRC paths.
 
 The compiled-trace branch of :func:`repro.sim.mrc.spatial_sample`
 replicates CPython's tuple hash in uint64 NumPy; these tests pin it
 *bit-identical* to the scalar fingerprint filter — same kept requests,
 in order — across key types, rates, and seeds, because a sampler that
 drifts by one key produces silently different (not wrong-looking)
-curves.  The MRC engine selectors are pinned the same way: the
-``"vector"`` paths must reproduce the exact per-size scalar curves.
+curves.  The exact curves are pinned the same way: the FIFO single
+pass and ``sampled_mrc(rate=1.0)`` must reproduce per-size runs.
 """
 
 import random
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cache.registry import create_policy
-from repro.sim.mrc import fifo_mrc, s3fifo_mrc, sampled_mrc, spatial_sample
+from repro.sim.mrc import fifo_mrc, sampled_mrc, spatial_sample
 from repro.sim.simulator import simulate
 from repro.traces.compiled import compile_trace
 from repro.traces.synthetic import zipf_trace
@@ -50,48 +50,27 @@ def test_spatial_sample_rejects_bad_rate():
 
 
 def test_fifo_mrc_vector_matches_multisim():
+    """The single pass equals per-size vector-engine runs."""
+    compiled = compile_trace(ZIPF)
     sizes = [8, 32, 128, 500]
     for policy in ("fifo", "sfifo"):
-        multi = fifo_mrc(ZIPF, sizes, policy=policy, engine="multisim")
-        vector = fifo_mrc(ZIPF, sizes, policy=policy, engine="vector")
-        assert vector.sizes == multi.sizes
-        assert vector.miss_ratios == multi.miss_ratios
+        curve = fifo_mrc(ZIPF, sizes, policy=policy)
+        assert curve.sizes == sizes
+        for size, ratio in zip(curve.sizes, curve.miss_ratios):
+            vector = simulate(
+                create_policy(policy, size), compiled, engine="vector"
+            )
+            assert ratio == vector.miss_ratio, (policy, size)
 
 
-def test_fifo_mrc_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        fifo_mrc(ZIPF, [8, 32], engine="warp")
-
-
-def test_s3fifo_mrc_vector_is_exact():
-    """engine="vector" must equal exact per-size re-simulation — no
-    sampling error at all."""
+def test_sampled_mrc_rate_one_is_exact():
+    """rate=1.0 must equal exact per-size re-simulation — no sampling
+    error at all, whatever ``ensembles`` says."""
     sizes = [16, 64, 256]
-    curve = s3fifo_mrc(ZIPF, sizes, engine="vector")
+    curve = sampled_mrc("s3fifo", ZIPF, sizes, rate=1.0, ensembles=3)
     compiled = compile_trace(ZIPF)
     for size, ratio in zip(curve.sizes, curve.miss_ratios):
         exact = simulate(
             create_policy("s3fifo", size), compiled, engine="scalar"
         )
         assert ratio == exact.miss_ratio, size
-
-
-def test_s3fifo_mrc_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        s3fifo_mrc(ZIPF, [16], engine="warp")
-
-
-def test_sampled_mrc_engine_passthrough():
-    """The engine knob changes how each ensemble simulates, never what
-    it computes: scalar and vector sampled curves are identical."""
-    sizes = [16, 64, 256]
-    scalar = sampled_mrc(
-        "s3fifo", ZIPF, sizes, rate=0.3, seed=3, ensembles=2,
-        engine="scalar",
-    )
-    vector = sampled_mrc(
-        "s3fifo", ZIPF, sizes, rate=0.3, seed=3, ensembles=2,
-        engine="vector",
-    )
-    assert scalar.sizes == vector.sizes
-    assert scalar.miss_ratios == vector.miss_ratios
