@@ -19,10 +19,30 @@ over preallocated parallel arrays:
 Fast policies fully support the streaming :meth:`EvictionPolicy.request`
 contract (they are registered policies like any other); the batch entry
 point :meth:`FastPolicyBase.run_compiled` additionally consumes a
-:class:`~repro.traces.compiled.CompiledTrace` id buffer directly.  Both
-paths share the same insertion/eviction machinery — only the trivial
-hit path is duplicated (inlined) in the batch loop — so they cannot
-drift apart algorithmically; differential tests cover both.
+:class:`~repro.traces.compiled.CompiledTrace` id buffer directly.
+
+Each twin has two copies of its miss path:
+
+* ``_insert_slot`` evicts until the object fits and inserts it.  It is
+  the miss path of streaming ``request()`` and of the vector engine's
+  events, and the only one that settles the engine's lazy hit state.
+* ``_batch``, the loop behind ``run_compiled``, writes the same
+  eviction and insertion in line.  It keeps ``used``, the count, list
+  ends, cursors and the clock in locals and counts evictions locally,
+  so a miss makes no method call (S3-FIFO's EVICTM, one per several
+  misses, stays a call).  The instance sees the locals once, at the end
+  of the span, except that with an eviction or demotion listener
+  attached the loop stores them before each notice, so a listener
+  reads the same ``used``, ``len()`` and clock as under ``request()``.
+  ``_batch`` runs with ``_lazy is None`` and asserts it: the vector
+  engine detaches its ledger before it hands a chunk to the loop.
+
+The differential suites pin both copies to the reference policies:
+``tests/test_fast_policies.py`` runs ``request()`` and ``run_compiled``
+against them on unit and sized traces, with and without listeners (the
+quiet sized property checks the end-of-span write-back through a
+streaming continuation, the listener test what a callback reads), and
+``tests/test_sim_vector.py`` does the same for every engine.
 
 One slot scheme serves every compiled-trace run
 (:meth:`FastPolicyBase._slots_for`).  A twin that has interned nothing

@@ -86,16 +86,27 @@ class FastFifoCache(FastPolicyBase):
     # Batch path
     # ------------------------------------------------------------------
     def _batch(self, trace, start, stop, slots):
+        # The miss path is _insert_slot written in line, with ``used``
+        # and the clock in locals (see repro.cache.fast_base).
+        assert self._lazy is None, "the vector engine detaches first"
         keys = trace.key_ids()
         sizes = trace.sizes
         loc = self._loc
         freq = self._freq
+        size_of = self._size_of
+        insert_time = self._insert_time
+        queue = self._queue
+        popleft = queue.popleft
+        append = queue.append
+        listening = bool(self._evict_listeners)
         cap = self.capacity
         unit = sizes is None
+        used = self.used
         # clock at absolute request index i is clock0 + i + 1
         clock0 = self.clock - start
         misses = 0
         bytes_missed = 0
+        evictions = 0
         for i in range(start, stop):
             slot = slots[keys[i]]
             # Oversized is a miss even when the key is resident, with no
@@ -106,11 +117,28 @@ class FastFifoCache(FastPolicyBase):
             size = 1 if unit else sizes[i]
             misses += 1
             bytes_missed += size
-            if size <= cap:
-                self.clock = clock0 + i + 1
-                self._insert_slot(slot, size)
+            if size > cap:
+                continue
+            used += size
+            while used > cap:
+                victim = popleft()
+                loc[victim] = 0
+                used -= size_of[victim]
+                if listening:
+                    self.used = used - size
+                    self.clock = clock0 + i + 1
+                    self._notify_evict_slot(victim)
+                else:
+                    evictions += 1
+            size_of[slot] = size
+            insert_time[slot] = clock0 + i + 1
+            freq[slot] = 0
+            loc[slot] = 1
+            append(slot)
         requests = stop - start
         bytes_requested = requests if unit else sum(sizes[start:stop])
+        self.used = used
         self.clock = clock0 + stop
+        self.stats.evictions += evictions
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

@@ -80,18 +80,29 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
     # Batch path
     # ------------------------------------------------------------------
     def _batch(self, trace, start, stop, slots):
+        # The miss path is _insert_slot/_evict_one written in line, with
+        # the list ends, ``used``, the count and the clock in locals
+        # (see repro.cache.fast_base).
+        assert self._lazy is None, "lru-fast has no vector kernel"
         keys = trace.key_ids()
         sizes = trace.sizes
         loc = self._loc
         freq = self._freq
+        size_of = self._size_of
+        insert_time = self._insert_time
         prv = self._prv
         nxt = self._nxt
         ends = self._ends
+        head, tail = ends
+        listening = bool(self._evict_listeners)
         cap = self.capacity
+        used = self.used
+        count = self._count
         clock0 = self.clock - start
         misses = 0
         bytes_requested = 0
         bytes_missed = 0
+        evictions = 0
         unit = sizes is None
         for i in range(start, stop):
             size = 1 if unit else sizes[i]
@@ -105,7 +116,6 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
             slot = slots[keys[i]]
             if loc[slot]:
                 freq[slot] += 1
-                head = ends[0]
                 if head != slot:
                     # unlink (slot is not the head, so prv[slot] is real)
                     p = prv[slot]
@@ -114,18 +124,56 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
                     if n != -1:
                         prv[n] = p
                     else:
-                        ends[1] = p
+                        tail = p
                     # push at head
                     prv[slot] = -1
                     nxt[slot] = head
                     prv[head] = slot
-                    ends[0] = slot
+                    head = slot
                 continue
             misses += 1
             bytes_missed += size
-            self.clock = clock0 + i + 1
-            self._insert_slot(slot, size)
+            limit = cap - size
+            while used > limit:
+                # evict the tail
+                victim = tail
+                tail = prv[victim]
+                if tail != -1:
+                    nxt[tail] = -1
+                else:
+                    head = -1
+                loc[victim] = 0
+                used -= size_of[victim]
+                count -= 1
+                if listening:
+                    ends[0] = head
+                    ends[1] = tail
+                    self.used = used
+                    self._count = count
+                    self.clock = clock0 + i + 1
+                    self._notify_evict_slot(victim, freq[victim])
+                else:
+                    evictions += 1
+            size_of[slot] = size
+            insert_time[slot] = clock0 + i + 1
+            freq[slot] = 0
+            loc[slot] = 1
+            # push at head
+            prv[slot] = -1
+            nxt[slot] = head
+            if head != -1:
+                prv[head] = slot
+            else:
+                tail = slot
+            head = slot
+            used += size
+            count += 1
         requests = stop - start
+        ends[0] = head
+        ends[1] = tail
+        self.used = used
+        self._count = count
         self.clock = clock0 + stop
+        self.stats.evictions += evictions
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

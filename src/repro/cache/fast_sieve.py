@@ -129,16 +129,31 @@ class FastSieveCache(FastPolicyBase):
     # Batch path
     # ------------------------------------------------------------------
     def _batch(self, trace, start, stop, slots):
+        # The miss path is _insert_slot written in line, with the list
+        # ends, the hand, ``used``, the count and the clock in locals
+        # (see repro.cache.fast_base).
+        assert self._lazy is None, "the vector engine detaches first"
         keys = trace.key_ids()
         sizes = trace.sizes
         loc = self._loc
         freq = self._freq
         visited = self._visited
+        size_of = self._size_of
+        insert_time = self._insert_time
+        newer = self._newer
+        older = self._older
+        head = self._head
+        tail = self._tail
+        hand = self._hand
+        listening = bool(self._evict_listeners)
         cap = self.capacity
         unit = sizes is None
+        used = self.used
+        count = self._count
         clock0 = self.clock - start
         misses = 0
         bytes_missed = 0
+        evictions = 0
         for i in range(start, stop):
             slot = slots[keys[i]]
             # Oversized is a miss even when the key is resident, with no
@@ -150,11 +165,63 @@ class FastSieveCache(FastPolicyBase):
             size = 1 if unit else sizes[i]
             misses += 1
             bytes_missed += size
-            if size <= cap:
-                self.clock = clock0 + i + 1
-                self._insert_slot(slot, size)
+            if size > cap:
+                continue
+            used += size
+            while used > cap:
+                # Evict: scan from the hand toward the head, clearing
+                # visited bits and wrapping to the tail.
+                victim = hand if hand != -1 else tail
+                while visited[victim]:
+                    visited[victim] = 0
+                    victim = newer[victim]
+                    if victim == -1:
+                        victim = tail
+                hand = nw = newer[victim]  # -1 when the victim was the head
+                ol = older[victim]
+                if nw != -1:
+                    older[nw] = ol
+                else:
+                    head = ol
+                if ol != -1:
+                    newer[ol] = nw
+                else:
+                    tail = nw
+                loc[victim] = 0
+                used -= size_of[victim]
+                count -= 1
+                if listening:
+                    self._head = head
+                    self._tail = tail
+                    self._hand = hand
+                    self.used = used - size
+                    self._count = count
+                    self.clock = clock0 + i + 1
+                    self._notify_evict_slot(victim)
+                else:
+                    evictions += 1
+            size_of[slot] = size
+            insert_time[slot] = clock0 + i + 1
+            freq[slot] = 0
+            visited[slot] = 0
+            loc[slot] = 1
+            # push at the head
+            newer[slot] = -1
+            older[slot] = head
+            if head != -1:
+                newer[head] = slot
+            else:
+                tail = slot
+            head = slot
+            count += 1
         requests = stop - start
         bytes_requested = requests if unit else sum(sizes[start:stop])
+        self._head = head
+        self._tail = tail
+        self._hand = hand
+        self.used = used
+        self._count = count
         self.clock = clock0 + stop
+        self.stats.evictions += evictions
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

@@ -341,17 +341,57 @@ class FastS3FifoCache(FastPolicyBase):
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
+    def _store(self, clock, used, count, s_used, m_used, g_cap, g_live,
+               g_stamp) -> None:
+        """Write the batch loop's local state back to the instance."""
+        self.clock = clock
+        self.used = used
+        self._count = count
+        self._s_used = s_used
+        self._m_used = m_used
+        self._g_cap = g_cap
+        self._g_live = g_live
+        self._g_stamp = g_stamp
+
     def _batch(self, trace, start, stop, slots):
+        # The miss path is _insert_slot written in line, with ``used``,
+        # the count, S/M usage, the ghost's capacity, live count and
+        # stamp, and the clock in locals (see repro.cache.fast_base).
+        # EVICTM stays a call (one per ~10-20 misses): the locals are
+        # stored before it and ``used``/count/M usage reloaded after.
+        assert self._lazy is None, "the vector engine detaches first"
         keys = trace.key_ids()
         sizes = trace.sizes
         loc = self._loc
+        size_of = self._size_of
+        insert_time = self._insert_time
+        g_of = self._g_of
+        g_q = self._g_q
+        small = self._small
+        main = self._main
+        evict_m = self._evict_m
+        store = self._store
         fcap = self._freq_cap
+        threshold = self._threshold
+        s_cap = self._s_cap
+        m_cap = self._m_cap
+        ghost_dynamic = self._ghost_dynamic
+        demoting = bool(self._demote_listeners)
+        listening = demoting or bool(self._evict_listeners)
         freq_bits = _FREQ
         cap = self.capacity
         unit = sizes is None
+        used = self.used
+        count = self._count
+        s_used = self._s_used
+        m_used = self._m_used
+        g_cap = self._g_cap
+        g_live = self._g_live
+        g_stamp = self._g_stamp
         clock0 = self.clock - start
         misses = 0
         bytes_missed = 0
+        evictions = 0
         for i in range(start, stop):
             slot = slots[keys[i]]
             state = loc[slot]
@@ -364,11 +404,97 @@ class FastS3FifoCache(FastPolicyBase):
             size = 1 if unit else sizes[i]
             misses += 1
             bytes_missed += size
-            if size <= cap:
-                self.clock = clock0 + i + 1
-                self._insert_slot(slot, size)
+            if size > cap:
+                continue
+            clock = clock0 + i + 1
+            limit = cap - size
+            while used > limit:
+                if s_used < s_cap and main:
+                    store(clock, used, count, s_used, m_used, g_cap, g_live,
+                          g_stamp)
+                    evict_m()
+                    used = self.used
+                    count = self._count
+                    m_used = self._m_used
+                    continue
+                # EVICTS: move accessed tails to M, evict the first cold
+                # tail to G.
+                while small:
+                    victim = small.popleft()
+                    vsize = size_of[victim]
+                    s_used -= vsize
+                    freq = loc[victim] & freq_bits
+                    if freq >= threshold:
+                        loc[victim] = _M_BASE  # access bits cleared on the move
+                        main.append(victim)
+                        m_used += vsize
+                        if demoting:
+                            store(clock, used, count, s_used, m_used, g_cap,
+                                  g_live, g_stamp)
+                            self._notify_demote_slot(victim, promoted=True)
+                        if m_used > m_cap:
+                            store(clock, used, count, s_used, m_used, g_cap,
+                                  g_live, g_stamp)
+                            evict_m()
+                            used = self.used
+                            count = self._count
+                            m_used = self._m_used
+                        continue
+                    used -= vsize
+                    count -= 1
+                    loc[victim] = 0
+                    if ghost_dynamic and (used != count or g_cap != m_cap):
+                        # Paper sizing, as in _insert_slot.
+                        mean_size = used / count if count else 1.0
+                        g_cap = max(1, int(m_cap / max(1.0, mean_size)))
+                    if g_cap:
+                        g_stamp += 1
+                        entry = g_stamp << _SLOT_BITS | victim
+                        g_of[victim] = entry
+                        g_q.append(entry)
+                        g_live += 1
+                        while g_live > g_cap:
+                            entry = g_q.popleft()
+                            old = entry & _SLOT_MASK
+                            if g_of[old] == entry:
+                                g_of[old] = 0
+                                g_live -= 1
+                    if listening:
+                        store(clock, used, count, s_used, m_used, g_cap,
+                              g_live, g_stamp)
+                        if demoting:
+                            self._notify_demote_slot(victim, promoted=False)
+                        self._notify_evict_slot(victim, freq)
+                    else:
+                        evictions += 1
+                    break
+                else:
+                    # S drained entirely into M; fall back to evicting from M.
+                    if main:
+                        store(clock, used, count, s_used, m_used, g_cap,
+                              g_live, g_stamp)
+                        evict_m()
+                        used = self.used
+                        count = self._count
+                        m_used = self._m_used
+            size_of[slot] = size
+            insert_time[slot] = clock
+            if g_of[slot]:  # ghost hit: straight to M
+                g_of[slot] = 0
+                g_live -= 1
+                main.append(slot)
+                loc[slot] = _M_BASE  # in M, freq 0
+                m_used += size
+            else:
+                small.append(slot)
+                loc[slot] = _S_BASE  # in S, freq 0
+                s_used += size
+            used += size
+            count += 1
         requests = stop - start
         bytes_requested = requests if unit else sum(sizes[start:stop])
-        self.clock = clock0 + stop
+        store(clock0 + stop, used, count, s_used, m_used, g_cap, g_live,
+              g_stamp)
+        self.stats.evictions += evictions
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

@@ -309,6 +309,7 @@ def run_vector_bench(
     return {
         "trace": trace_label,
         "seed": seed,
+        "env": env_block(),
         "config": {
             "num_objects": num_objects,
             "num_requests": num_requests,

@@ -45,12 +45,14 @@ per-*request*):
 Hit runs are cheap, but once the cache is full a miss costs the event
 loop more than it costs the twin's own batch loop (the eviction
 settles lazy state and forces a re-check).  Under ``engine="auto"``
-the engine therefore picks a loop per chunk.  Once the cache has
-evicted, a chunk whose probe shows a miss fraction above the kernel's
-measured :data:`CROSSOVER` runs through the twin's ``run_compiled``.  The
-batch loop hands back when a chunk's miss count falls below it again,
-with a :data:`HYSTERESIS` band either way.  Handing off folds every
-resident slot's pending hits and detaches the ledger
+the engine therefore picks a loop per chunk.  A chunk whose probe
+shows a miss fraction above the kernel's measured :data:`CROSSOVER`
+runs through the twin's ``run_compiled``; until the cache first
+evicts, the share of the requests so far that inserted is held to
+:data:`COLD_CROSSOVER` instead.  The batch loop hands back when a
+chunk's miss count falls below :data:`CROSSOVER` again, with a
+:data:`HYSTERESIS` band either way.  Handing off folds every resident
+slot's pending hits and detaches the ledger
 (:meth:`_HitLedger.detach`); handing back advances every occurrence
 pointer past the stretch and attaches it again
 (:meth:`_HitLedger.attach`).  ``engine="vector"`` never hands off.
@@ -82,7 +84,15 @@ VECTOR_CHUNK = 4096
 #: beats the event loop, under ``engine="auto"``.  Measured per kernel
 #: kind on Zipf traces (100k objects, capacity 10k; see
 #: docs/PERFORMANCE.md).  S-FIFO has no batch loop to hand to.
-CROSSOVER = {"fifo": 0.26, "sieve": 0.30, "s3fifo": 0.13}
+CROSSOVER = {"fifo": 0.18, "sieve": 0.18, "s3fifo": 0.06}
+
+#: The same crossover for a cache that has not evicted yet, where every
+#: event is a bare insert and the event loop wins up to a higher miss
+#: fraction.  It is held to the share of the requests so far that
+#: inserted (so the first chunk always runs in the event loop).
+#: Measured on Zipf traces that never fill the cache (see
+#: docs/PERFORMANCE.md).
+COLD_CROSSOVER = {"fifo": 0.64, "sieve": 0.62, "s3fifo": 0.29}
 
 #: Half-width of the band around the crossover inside which the engine
 #: keeps the loop it is in, so a trace near the crossover does not pay
@@ -129,7 +139,7 @@ class _HitLedger:
 
     def __init__(self, trace) -> None:
         self.occ_pos, self.occ_start = trace.occurrence_index()
-        self.ptr = list(self.occ_start[:-1])
+        self.ptr = self.occ_start[:-1]  # a slice is a new list
         self.forced: list = []
         self.chunk_end = 0
         #: The event being processed; set by the engine.
@@ -376,10 +386,12 @@ def vector_simulate(
     width; results are invariant to it by construction.
 
     With ``auto`` (``engine="auto"``) the engine picks a loop per
-    chunk: once the cache has evicted, a chunk whose miss fraction is
-    above the kernel's :data:`CROSSOVER` runs through the twin's own
-    batch loop, and the batch loop hands back once a chunk's misses
-    fall below it (with a :data:`HYSTERESIS` band either way).
+    chunk: a chunk whose miss fraction is above the kernel's
+    :data:`CROSSOVER` runs through the twin's own batch loop (before
+    the cache first evicts: once the requests so far inserted above
+    :data:`COLD_CROSSOVER`), and the batch loop
+    hands back once a chunk's misses fall below :data:`CROSSOVER` (with
+    a :data:`HYSTERESIS` band either way).
     S-FIFO's kernel has no batch loop and always runs as hit runs.
     """
     if not vector_eligible(policy, trace):
@@ -417,9 +429,10 @@ def vector_simulate(
 
     batch = getattr(kernel, "run_compiled", None) if auto else None
     if batch is not None:
-        crossover = CROSSOVER[policy.vector_spec()["kind"]]
-        to_scalar = crossover + HYSTERESIS
-        to_vector = crossover - HYSTERESIS
+        kind = policy.vector_spec()["kind"]
+        to_scalar = CROSSOVER[kind] + HYSTERESIS
+        cold_to_scalar = COLD_CROSSOVER[kind] + HYSTERESIS
+        to_vector = CROSSOVER[kind] - HYSTERESIS
     scalar = False
     handoffs = 0
     vector_requests = 0  # requests of the chunks the event loop ran
@@ -441,10 +454,15 @@ def vector_simulate(
                 if not unit:
                     cand_np |= over_np[c0:c1]
                 cand = (np.flatnonzero(cand_np) + c0).tolist()
-                # Until the cache first evicts, every event is a cheap
-                # insert and the event loop wins at any miss fraction.
-                if (batch is not None and kernel.stats.evictions
-                        and len(cand) > to_scalar * (c1 - c0)):
+                # Until the cache first evicts, every event is a bare
+                # insert and the event loop wins up to a higher miss
+                # fraction.  A cold probe marks every occurrence of a
+                # key not yet cached, so the share of the requests so
+                # far that inserted stands in for the chunk's misses.
+                if batch is not None and (
+                        len(cand) > to_scalar * (c1 - c0)
+                        if kernel.stats.evictions
+                        else kernel._count > cold_to_scalar * c0):
                     ledger.detach(kernel, c0)
                     scalar = True
                     handoffs += 1
@@ -455,7 +473,9 @@ def vector_simulate(
                 misses += chunk_misses
                 bytes_requested += chunk_bytes
                 bytes_missed += chunk_missed
-                if chunk_misses < to_vector * (c1 - c0):
+                # No chunk follows the last one: attaching there would
+                # advance the pointers over the whole stretch for nothing.
+                if c1 < n and chunk_misses < to_vector * (c1 - c0):
                     ledger.attach(kernel, c1)
                     scalar = False
                     handoffs += 1

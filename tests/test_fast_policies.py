@@ -91,9 +91,9 @@ class TestDifferentialZipf:
     def test_batched_no_listeners_stats_identical(
         self, ref_name, fast_name, capacity
     ):
-        # No listeners: fast policies may take further-specialized
-        # loops (e.g. s3fifo-fast's inlined unit path) — stats and
-        # residency must still match exactly.
+        # No listeners: the batch loops count evictions locally and
+        # never write their state back mid-run — stats and residency
+        # must still match exactly.
         ref = create_policy(ref_name, capacity)
         _stream(ref, ZIPF)
         fast = create_policy(fast_name, capacity)
@@ -330,3 +330,70 @@ def test_property_differential_sized(seed, capacity, pair):
     fast.run_compiled(compile_trace(items))
     assert _stats(ref) == _stats(fast)
     assert ref_events == fast_events
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    capacity=st.integers(20, 400),
+    pair=st.sampled_from(PAIRS),
+)
+def test_property_differential_sized_no_listeners(seed, capacity, pair):
+    """The quiet batch path, where a miss may evict several objects and
+    nothing is written back until the loop ends: a streaming
+    continuation after the batch must see the reference's state."""
+    ref_name, fast_name = pair
+    rng = random.Random(seed)
+    keys = zipf_trace(num_objects=200, num_requests=2_000, alpha=0.9, seed=seed)
+    items = [(k, rng.randint(1, 25)) for k in keys]
+    head, tail = items[:1_500], items[1_500:]
+    ref = create_policy(ref_name, capacity)
+    _stream(ref, head)
+    fast = create_policy(fast_name, capacity)
+    fast.run_compiled(compile_trace(head))
+    assert _stats(ref) == _stats(fast)
+    assert (ref.used, len(ref), ref.clock) == (fast.used, len(fast), fast.clock)
+    for key in set(keys):
+        assert (key in ref) == (key in fast)
+    if fast_name == "s3fifo-fast":
+        assert (fast.small_used, fast.main_used) == (
+            ref.small_used, ref.main_used)
+        assert (fast.ghost_len, fast.ghost_capacity) == (
+            len(ref.ghost), ref.ghost.capacity)
+        for key in set(keys):
+            assert fast.in_ghost(key) == (key in ref.ghost)
+    assert _stream(ref, tail) == _stream(fast, tail)
+    assert _stats(ref) == _stats(fast)
+    assert (ref.used, len(ref)) == (fast.used, len(fast))
+
+
+@pytest.mark.parametrize("ref_name,fast_name", PAIRS)
+@pytest.mark.parametrize("items", [ZIPF, SIZED], ids=["unit", "sized"])
+def test_listeners_see_written_back_state(ref_name, fast_name, items):
+    """A listener inside an eviction (or demotion) callback reads the
+    same ``used``, ``len()`` and clock from the twin's batch loop as
+    from the reference's streaming run: the loop writes its local
+    state back before it notifies."""
+
+    def watch(policy):
+        seen = []
+        policy.add_eviction_listener(
+            lambda e: seen.append(
+                ("evict", e.key, policy.used, len(policy), policy.clock)
+            )
+        )
+        policy.add_demotion_listener(
+            lambda e: seen.append(
+                ("demote", e.key, policy.used, len(policy), policy.clock)
+            )
+        )
+        return seen
+
+    ref = create_policy(ref_name, 64)
+    ref_seen = watch(ref)
+    _stream(ref, items)
+    fast = create_policy(fast_name, 64)
+    fast_seen = watch(fast)
+    fast.run_compiled(compile_trace(items))
+    assert len(ref_seen) > 100
+    assert ref_seen == fast_seen

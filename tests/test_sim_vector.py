@@ -354,17 +354,21 @@ def test_sweep_job_engine_pinning():
 # Handoffs between the event loop and the twin's batch loop (auto)
 # ----------------------------------------------------------------------
 
-#: (crossover, hysteresis) per handoff pattern.  The event loop keeps
-#: every chunk until the cache first evicts; after that, "every": both
-#: loops give up after each chunk, so every chunk boundary is a handoff
-#: pair.  "alternate": a 0.5 crossover with no band, so the trace
-#: decides.  "vector-only": no handoff, ever.  "batch-once-full": one
-#: handoff, at the first chunk after the first eviction.
+#: (crossover, cold crossover, hysteresis) per handoff pattern.  The
+#: event loop keeps every chunk until the cache first evicts (no chunk
+#: reaches the cold crossover), except in "batch-early", which hands
+#: off after the first chunk and never back.  After the first eviction,
+#: "every": both loops give up after each chunk, so every chunk
+#: boundary is a handoff pair.  "alternate": a 0.5 crossover with no
+#: band, so the trace decides.  "vector-only": no handoff, ever.
+#: "batch-once-full": one handoff, at the first chunk after the first
+#: eviction.
 HANDOFF_MODES = {
-    "every": (0.5, -2.0),
-    "alternate": (0.5, 0.0),
-    "vector-only": (2.0, 0.0),
-    "batch-once-full": (-1.0, 0.0),
+    "every": (0.5, 3.0, -2.0),
+    "alternate": (0.5, 2.0, 0.0),
+    "vector-only": (2.0, 2.0, 0.0),
+    "batch-early": (-1.0, -1.0, 0.0),
+    "batch-once-full": (-1.0, 2.0, 0.0),
 }
 HANDOFF_POLICIES = (
     "fifo", "fifo-fast", "sieve", "sieve-fast", "s3fifo", "s3fifo-fast",
@@ -372,10 +376,11 @@ HANDOFF_POLICIES = (
 
 
 def _auto_run(mode, name, capacity, trace, chunk, warmup_requests=None):
-    crossover, band = HANDOFF_MODES[mode]
+    crossover, cold, band = HANDOFF_MODES[mode]
     with pytest.MonkeyPatch.context() as mp:
         for kind in vector.CROSSOVER:
             mp.setitem(vector.CROSSOVER, kind, crossover)
+            mp.setitem(vector.COLD_CROSSOVER, kind, cold)
         mp.setattr(vector, "HYSTERESIS", band)
         return vector_simulate(
             create_policy(name, capacity), trace, chunk=chunk,
@@ -448,8 +453,8 @@ def test_handoff_property_sized(items, capacity, chunk, mode, warm):
 def test_handoff_differential(mode, name):
     """Fixed traces with scans and oversized requests; the warmup
     boundary (1234) falls inside a batch-loop stretch in
-    "batch-once-full"/"every" and inside a hit-run stretch in
-    "vector-only"."""
+    "batch-early"/"batch-once-full"/"every" and inside a hit-run
+    stretch in "vector-only"."""
     for tname, (trace, caps) in TRACES.items():
         for cap in caps:
             for chunk in (5, 130):
@@ -460,10 +465,15 @@ def test_handoff_differential(mode, name):
                 if mode == "vector-only":
                     assert got.engine == "vector", ctx
                     assert not got.handoffs, ctx
+                elif mode == "batch-early":
+                    assert got.handoffs == 1, ctx
+                    assert got.scalar_requests == len(trace) - chunk, ctx
                 elif mode == "batch-once-full":
                     assert got.handoffs == (got.scalar_requests > 0), ctx
                 elif mode == "every":
-                    assert got.handoffs % 2 == 0, ctx
+                    # Every stretch in the batch loop hands back, except
+                    # after the trace's last chunk.
+                    assert got.handoffs % 2 == (got.scalar_requests > 0), ctx
                 if cap == 7 and mode != "vector-only":
                     # The zipf trace overflows capacity 7 at once.
                     assert got.engine == "auto", ctx
@@ -496,19 +506,53 @@ def test_sfifo_never_hands_off():
 
 def test_auto_routes_by_miss_fraction():
     """Default constants: until the cache first evicts the event loop
-    runs (every miss is a cheap insert), then a miss-heavy trace goes
-    to the batch loop for good and a hit-heavy one stays in hit runs."""
+    runs, then a miss-heavy trace goes to the batch loop for good and a
+    hit-heavy one stays in hit runs.  At capacity 200, s3fifo misses
+    0.09-0.10 per chunk at Zipf 1.4 (above its crossover) and at most
+    0.037 at Zipf 1.6."""
     n = 60_000
     for alpha, name in ((0.6, "fifo-fast"), (0.6, "sieve-fast"),
-                        (0.6, "s3fifo-fast"), (1.4, "s3fifo-fast")):
+                        (0.6, "s3fifo-fast"), (1.4, "s3fifo-fast"),
+                        (1.6, "s3fifo-fast")):
         trace = compile_trace(zipf_trace(num_objects=20_000, num_requests=n,
                                          alpha=alpha, seed=3))
         result = simulate(create_policy(name, 200), trace)
         assert (result.hit_run_requests + result.event_requests
                 + result.scalar_requests) == n
-        if alpha < 1:
+        if alpha < 1.5:
             assert result.engine == "auto" and result.handoffs == 1, name
             assert result.scalar_requests == n - vector.VECTOR_CHUNK, name
         else:
             assert result.engine == "vector", name
             assert result.hit_run_requests > 0.8 * n, name
+
+
+def _first_chunk_after_eviction(name, capacity, trace):
+    """Index of the first chunk that starts after the cache evicted."""
+    policy = create_policy(name, capacity)
+    for c, c0 in enumerate(range(0, len(trace), vector.VECTOR_CHUNK)):
+        if policy.stats.evictions:
+            return c
+        policy.run_compiled(trace, c0, c0 + vector.VECTOR_CHUNK)
+    raise AssertionError("the cache never evicts")
+
+
+def test_auto_cold_start_routing():
+    """Default constants, before the first eviction: a cold cache whose
+    requests so far inserted above COLD_CROSSOVER goes to the batch loop
+    at the next chunk; one below it stays in the event loop until the
+    cache first evicts, then goes to the batch loop for good if its
+    chunks miss above CROSSOVER.  Zipf 1.0 over 20k objects at capacity
+    4000 misses 0.42 in its first chunk and 0.27 per chunk once fifo's
+    cache is full."""
+    n = 60_000
+    trace = compile_trace(zipf_trace(num_objects=20_000, num_requests=n,
+                                     alpha=1.0, seed=3))
+    cold = simulate(create_policy("s3fifo-fast", 4000), trace)
+    assert cold.engine == "auto" and cold.handoffs == 1
+    assert cold.scalar_requests == n - vector.VECTOR_CHUNK
+    head = _first_chunk_after_eviction("fifo-fast", 4000, trace)
+    assert head > 1
+    full = simulate(create_policy("fifo-fast", 4000), trace)
+    assert full.engine == "auto" and full.handoffs == 1
+    assert full.scalar_requests == n - head * vector.VECTOR_CHUNK
