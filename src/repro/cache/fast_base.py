@@ -16,6 +16,13 @@ over preallocated parallel arrays:
   compiled-trace run is pure array indexing — no hashing, no object
   allocation, no method dispatch.
 
+The base class owns the slot map and the slabs every twin shares
+(residency, size, insertion time).  Each twin keeps its own queue
+structure next to them: slot ``deque``s for FIFO and S3-FIFO,
+neighbour lists for SIEVE, and for LRU a doubly-linked list over two
+slabs, written out in :class:`~repro.cache.fast_lru.FastLruCache`, its
+only user.
+
 Fast policies fully support the streaming :meth:`EvictionPolicy.request`
 contract (they are registered policies like any other); the batch entry
 point :meth:`FastPolicyBase.run_compiled` additionally consumes a
@@ -88,9 +95,6 @@ from repro.cache.base import DemotionEvent, EvictionEvent, EvictionPolicy
 
 if False:  # typing-only; the runtime import is lazy (see _compiled_cls)
     from repro.traces.compiled import CompiledTrace
-
-#: Single-element template used to build -1-filled ``array('q')`` runs.
-NEG1 = array("q", [-1])
 
 _COMPILED_CLS = None
 
@@ -282,55 +286,3 @@ class FastPolicyBase(EvictionPolicy):
 
     def __len__(self) -> int:
         return self._count
-
-
-class SlabListMixin:
-    """Intrusive doubly-linked list over slot arrays.
-
-    Mirrors :class:`repro.structures.dlist.DList` exactly: the head is
-    the most recently inserted end, the tail the eviction end.
-    ``_prv[slot]`` points toward the head (newer neighbour),
-    ``_nxt[slot]`` toward the tail; ``-1`` plays the sentinel.  The
-    head/tail pair lives in a two-element array (``_ends[0]`` = head,
-    ``_ends[1]`` = tail) so that batch loops can bind it locally while
-    sharing mutations with the eviction methods.
-    """
-
-    def _init_list(self) -> None:
-        sc = self._slab_cap
-        self._prv = NEG1 * sc
-        self._nxt = NEG1 * sc
-        self._ends = array("q", [-1, -1])
-
-    def _grow_list(self, add: int) -> None:
-        self._prv.extend(NEG1 * add)
-        self._nxt.extend(NEG1 * add)
-
-    def _push_head(self, slot: int) -> None:
-        ends = self._ends
-        head = ends[0]
-        self._prv[slot] = -1
-        self._nxt[slot] = head
-        if head != -1:
-            self._prv[head] = slot
-        else:
-            ends[1] = slot
-        ends[0] = slot
-
-    def _unlink(self, slot: int) -> None:
-        ends = self._ends
-        p = self._prv[slot]
-        n = self._nxt[slot]
-        if p != -1:
-            self._nxt[p] = n
-        else:
-            ends[0] = n
-        if n != -1:
-            self._prv[n] = p
-        else:
-            ends[1] = p
-
-    def _move_to_head(self, slot: int) -> None:
-        if self._ends[0] != slot:
-            self._unlink(slot)
-            self._push_head(slot)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from array import array
 
-from repro.cache.fast_base import FastPolicyBase, SlabListMixin
+from repro.cache.fast_base import FastPolicyBase
 from repro.sim.request import Request
 
+#: Single-element template used to build -1-filled ``array('q')`` runs.
+NEG1 = array("q", [-1])
 
-class FastLruCache(SlabListMixin, FastPolicyBase):
+
+class FastLruCache(FastPolicyBase):
     """LRU over a slab-allocated intrusive doubly-linked list.
 
     Bit-identical to ``lru``: every hit promotes the slot to the list
@@ -16,6 +19,14 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
     is two parallel ``array('q')`` columns instead of two pointers per
     node, which is also the layout the paper attributes to production
     caches (Section 2.2) minus the Python objects.
+
+    The list mirrors :class:`repro.structures.dlist.DList` exactly: the
+    head is the most recently inserted end, the tail the eviction end.
+    ``_prv[slot]`` points toward the head (newer neighbour),
+    ``_nxt[slot]`` toward the tail; ``-1`` plays the sentinel.  The
+    head/tail pair lives in a two-element array (``_ends[0]`` = head,
+    ``_ends[1]`` = tail), which the batch loop reads into locals and
+    writes back at the end of its span.
     """
 
     name = "lru-fast"
@@ -23,12 +34,16 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._freq = array("q", bytes(8 * self._slab_cap))
-        self._init_list()
+        sc = self._slab_cap
+        self._freq = array("q", bytes(8 * sc))
+        self._prv = NEG1 * sc
+        self._nxt = NEG1 * sc
+        self._ends = array("q", [-1, -1])
 
     def _grow_extra(self, add: int) -> None:
         self._freq.frombytes(bytes(8 * add))
-        self._grow_list(add)
+        self._prv.extend(NEG1 * add)
+        self._nxt.extend(NEG1 * add)
 
     # ------------------------------------------------------------------
     # Streaming path
@@ -75,6 +90,38 @@ class FastLruCache(SlabListMixin, FastPolicyBase):
         self.used -= self._size_of[slot]
         self._count -= 1
         self._notify_evict_slot(slot, self._freq[slot])
+
+    # ------------------------------------------------------------------
+    # Linked list over the slot slabs
+    # ------------------------------------------------------------------
+    def _push_head(self, slot: int) -> None:
+        ends = self._ends
+        head = ends[0]
+        self._prv[slot] = -1
+        self._nxt[slot] = head
+        if head != -1:
+            self._prv[head] = slot
+        else:
+            ends[1] = slot
+        ends[0] = slot
+
+    def _unlink(self, slot: int) -> None:
+        ends = self._ends
+        p = self._prv[slot]
+        n = self._nxt[slot]
+        if p != -1:
+            self._nxt[p] = n
+        else:
+            ends[0] = n
+        if n != -1:
+            self._prv[n] = p
+        else:
+            ends[1] = p
+
+    def _move_to_head(self, slot: int) -> None:
+        if self._ends[0] != slot:
+            self._unlink(slot)
+            self._push_head(slot)
 
     # ------------------------------------------------------------------
     # Batch path

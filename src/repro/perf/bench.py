@@ -48,6 +48,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: (reference, fast) registry-name pairs benchmarked by default.
 DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("fifo", "fifo-fast"),
@@ -88,17 +90,11 @@ def env_block() -> Dict:
     them; this block is embedded in every benchmark report (and the
     loadgen reports) so archived JSON stays interpretable.
     """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        numpy_version = None
-    else:
-        numpy_version = numpy.__version__
     return {
         "python": platform.python_version(),
         "python_implementation": platform.python_implementation(),
         "python_build": " ".join(platform.python_build()),
-        "numpy": numpy_version,
+        "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -353,7 +349,7 @@ def run_auto_sweep(
     """
     from repro.cache.registry import create_policy
     from repro.sim.simulator import simulate
-    from repro.sim.vector import CROSSOVER, HYSTERESIS
+    from repro.sim.vector import CROSSOVER
 
     capacity = max(1, int(num_objects * cache_ratio))
     rows: List[Dict] = []
@@ -428,7 +424,6 @@ def run_auto_sweep(
             "min_seconds": min_seconds,
             "timer": "process_time",
             "crossover": dict(CROSSOVER),
-            "hysteresis": HYSTERESIS,
         },
         "floor": AUTO_FLOOR,
         "rows": rows,

@@ -24,6 +24,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, Hashable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cache.registry import create_policy
 from repro.sim.multisim import _validate_sizes, multisim
 from repro.sim.simulator import simulate
@@ -204,7 +206,7 @@ _XXPRIME_2 = 14029467366897019727
 _XXPRIME_5 = 2870177450012600261
 
 
-def _pair_hash_np(np, a, b):
+def _pair_hash_np(a, b):
     """``hash((x, y))`` for lanes ``a``/``b`` (uint64 arrays/scalars).
 
     A lane is the item's own ``hash()`` reinterpreted as uint64.
@@ -234,14 +236,10 @@ def _spatial_sample_compiled(
     Each *distinct* key is Python-hashed once; the ``(salt, key)``
     tuple combine and the per-request keep decision run as a handful of
     NumPy passes.  Sized traces hash the ``(key, size)`` tuple the
-    request yields, exactly like the scalar loop.  Returns ``None``
-    when unavailable (no NumPy, or non-64-bit hashes) so the caller
-    falls back to the scalar filter — results are pinned identical.
+    request yields, exactly like the scalar loop.  Returns ``None`` on
+    a platform whose hashes are not 64-bit, so the caller falls back to
+    the scalar filter — results are pinned identical.
     """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return None
     if sys.hash_info.width != 64:  # pragma: no cover - 64-bit only
         return None
     n = len(trace)
@@ -259,7 +257,7 @@ def _spatial_sample_compiled(
     ids = trace.key_ids()
     if trace.sizes is None:
         # Unit trace: one fingerprint per distinct key, then a gather.
-        fp = _pair_hash_np(np, salt_lane, key_lanes)
+        fp = _pair_hash_np(salt_lane, key_lanes)
         keep_kid = (fp & np.uint64(0xFFFFFF)) < np.uint64(threshold)
         pos = np.flatnonzero(keep_kid[ids_np]).tolist()
         return [table[ids[p]] for p in pos]
@@ -271,8 +269,8 @@ def _spatial_sample_compiled(
     size_lanes = (
         sizes_np % np.int64((1 << 61) - 1)
     ).astype(np.uint64)
-    inner = _pair_hash_np(np, key_lanes[ids_np], size_lanes)
-    fp = _pair_hash_np(np, salt_lane, inner)
+    inner = _pair_hash_np(key_lanes[ids_np], size_lanes)
+    fp = _pair_hash_np(salt_lane, inner)
     keep = (fp & np.uint64(0xFFFFFF)) < np.uint64(threshold)
     pos = np.flatnonzero(keep).tolist()
     return [(table[ids[p]], sizes[p]) for p in pos]

@@ -70,8 +70,10 @@ class SimulationResult:
     vectorized hit run), ``event_requests`` (a vector-engine event:
     a static candidate of its chunk's probe, or one of the
     ``forced_rechecks``) or ``scalar_requests`` (stepped one by one).
-    ``handoffs`` counts switches between the two loops.  The defaults
-    describe a run that stepped every request.
+    ``handoffs`` is 1 when the event loop handed the run to the batch
+    loop, which never hands back, and 0 otherwise; the CLI and the
+    benchmark rows print it.  The defaults describe a run that stepped
+    every request.
     """
 
     __slots__ = (

@@ -45,17 +45,17 @@ per-*request*):
 Hit runs are cheap, but once the cache is full a miss costs the event
 loop more than it costs the twin's own batch loop (the eviction
 settles lazy state and forces a re-check).  Under ``engine="auto"``
-the engine therefore picks a loop per chunk.  A chunk whose probe
-shows a miss fraction above the kernel's measured :data:`CROSSOVER`
-runs through the twin's ``run_compiled``; until the cache first
-evicts, the share of the requests so far that inserted is held to
-:data:`COLD_CROSSOVER` instead.  The batch loop hands back when a
-chunk's miss count falls below :data:`CROSSOVER` again, with a
-:data:`HYSTERESIS` band either way.  Handing off folds every resident
+the event loop therefore hands the run to the twin's ``run_compiled``
+at the first chunk whose probe shows a miss fraction above the
+kernel's measured :data:`CROSSOVER`; until the cache first evicts,
+the share of the requests so far that inserted is held to
+:data:`COLD_CROSSOVER` instead.  The handoff folds every resident
 slot's pending hits and detaches the ledger
-(:meth:`_HitLedger.detach`); handing back advances every occurrence
-pointer past the stretch and attaches it again
-(:meth:`_HitLedger.attach`).  ``engine="vector"`` never hands off.
+(:meth:`_HitLedger.detach`), and is one-way: the batch loop runs the
+rest of the trace, one ``run_compiled`` call per warmup segment.  A
+trace whose miss fraction later falls (a scan, then a hot phase) stays
+in the batch loop and runs at about the scalar engine's speed.
+``engine="vector"`` never hands off.
 
 LRU is excluded by design: its hits mutate the recency order, which is
 exactly the paper's point.
@@ -70,6 +70,8 @@ from bisect import bisect_left
 from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import Optional
+
+import numpy as np
 
 from repro.cache.base import CacheStats
 from repro.cache.fast_fifo import FastFifoCache
@@ -94,25 +96,12 @@ CROSSOVER = {"fifo": 0.18, "sieve": 0.18, "s3fifo": 0.06}
 #: docs/PERFORMANCE.md).
 COLD_CROSSOVER = {"fifo": 0.64, "sieve": 0.62, "s3fifo": 0.29}
 
-#: Half-width of the band around the crossover inside which the engine
-#: keeps the loop it is in, so a trace near the crossover does not pay
-#: for a handoff at every chunk.
-HYSTERESIS = 0.02
-
 #: Registry names the vector engine can execute (the FIFO family; a
 #: reference policy and its ``*-fast`` twin run on the same kernel).
 VECTOR_POLICIES = (
     "fifo", "fifo-fast", "sfifo", "sieve", "sieve-fast",
     "s3fifo", "s3fifo-fast",
 )
-
-
-def _numpy():
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return None
-    return np
 
 
 # ----------------------------------------------------------------------
@@ -144,63 +133,30 @@ class _HitLedger:
         self.chunk_end = 0
         #: The event being processed; set by the engine.
         self.pos = 0
-        self.ids_np = _numpy().frombuffer(trace.keys, dtype="int64")
-        #: Per-key occurrence counts over ``[0, _counted)``, kept for
-        #: handoffs only.
-        self._seen = None
-        self._counted = 0
-
-    def _count_to(self, pos: int):
-        """Per-key occurrence counts over ``[_counted, pos)``, which
-        are then added to ``_seen``."""
-        np = _numpy()
-        k = len(self.ptr)
-        if self._seen is None:
-            self._seen = np.zeros(k, dtype=np.int64)
-        span = np.bincount(self.ids_np[self._counted:pos], minlength=k)
-        self._seen += span
-        self._counted = pos
-        return span
+        self.ids_np = np.frombuffer(trace.keys, dtype="int64")
 
     def detach(self, kernel, pos: int) -> None:
         """Hand ``kernel`` to its own batch loop from position ``pos``:
-        fold every resident slot's pending hits, leave every pointer
-        at its key's first occurrence at or after ``pos``, and unhook
-        the ledger.
+        fold every resident slot's pending hits and unhook the ledger.
 
-        Non-resident keys' pointers are already there (the insert
-        invariant), so only resident slots are visited."""
-        np = _numpy()
-        self._count_to(pos)
+        A resident slot's pending hits are its occurrences between its
+        pointer and ``pos``, counted by one ``np.bincount`` over
+        ``[0, pos)``.  The batch loop never hands back, so the pointers
+        are not moved."""
         res = np.flatnonzero(np.frombuffer(kernel._loc, dtype=np.uint8))
         m = len(res)
         if m:
+            seen = np.bincount(self.ids_np[:pos], minlength=len(self.ptr))
             kids = res.tolist()
             start = np.fromiter(map(self.occ_start.__getitem__, kids),
                                 np.int64, m)
             cur = np.fromiter(map(self.ptr.__getitem__, kids), np.int64, m)
-            target = start + self._seen[res]
-            pending = target - cur
+            pending = start + seen[res] - cur
             sel = np.flatnonzero(pending)
-            ptr = self.ptr
             fold = kernel._fold_hits
-            for kid, at, hits in zip(res[sel].tolist(), target[sel].tolist(),
-                                     pending[sel].tolist()):
+            for kid, hits in zip(res[sel].tolist(), pending[sel].tolist()):
                 fold(kid, hits)
-                ptr[kid] = at
         kernel._lazy = None
-
-    def attach(self, kernel, pos: int) -> None:
-        """Take ``kernel`` back after its batch loop ran up to ``pos``:
-        advance every pointer past the stretch's occurrences (the loop
-        applied those hits itself) and hook the ledger in again."""
-        np = _numpy()
-        span = self._count_to(pos)
-        touched = np.flatnonzero(span)
-        ptr = self.ptr
-        for kid, count in zip(touched.tolist(), span[touched].tolist()):
-            ptr[kid] += count
-        kernel._lazy = self
 
     def begin_chunk(self, end: int) -> list:
         forced = self.forced = []
@@ -341,8 +297,6 @@ def vector_eligible(policy, trace) -> bool:
 
     if not isinstance(trace, CompiledTrace):
         return False
-    if _numpy() is None:
-        return False
     spec = getattr(policy, "vector_spec", None)
     if spec is None or spec() is None:
         return False
@@ -385,14 +339,14 @@ def vector_simulate(
     :func:`vector_eligible`).  ``chunk`` sets the vectorized probe
     width; results are invariant to it by construction.
 
-    With ``auto`` (``engine="auto"``) the engine picks a loop per
-    chunk: a chunk whose miss fraction is above the kernel's
-    :data:`CROSSOVER` runs through the twin's own batch loop (before
-    the cache first evicts: once the requests so far inserted above
-    :data:`COLD_CROSSOVER`), and the batch loop
-    hands back once a chunk's misses fall below :data:`CROSSOVER` (with
-    a :data:`HYSTERESIS` band either way).
-    S-FIFO's kernel has no batch loop and always runs as hit runs.
+    With ``auto`` (``engine="auto"``) the event loop hands the run to
+    the twin's own batch loop at the first chunk whose miss fraction is
+    above the kernel's :data:`CROSSOVER` (before the cache first
+    evicts: once the requests so far inserted above
+    :data:`COLD_CROSSOVER`).  The batch loop then runs the rest of the
+    trace, one ``run_compiled`` call per warmup segment, and never
+    hands back.  S-FIFO's kernel has no batch loop and always runs as
+    hit runs.
     """
     if not vector_eligible(policy, trace):
         raise ValueError(
@@ -401,7 +355,6 @@ def vector_simulate(
         )
     if chunk <= 0:
         raise ValueError(f"chunk must be positive, got {chunk}")
-    np = _numpy()
     kernel = _build_kernel(policy, trace)
     ledger = kernel._lazy
     n = len(trace)
@@ -430,11 +383,9 @@ def vector_simulate(
     batch = getattr(kernel, "run_compiled", None) if auto else None
     if batch is not None:
         kind = policy.vector_spec()["kind"]
-        to_scalar = CROSSOVER[kind] + HYSTERESIS
-        cold_to_scalar = COLD_CROSSOVER[kind] + HYSTERESIS
-        to_vector = CROSSOVER[kind] - HYSTERESIS
-    scalar = False
-    handoffs = 0
+        crossover = CROSSOVER[kind]
+        cold_crossover = COLD_CROSSOVER[kind]
+    handoffs = 0  # 1 once the batch loop has taken over
     vector_requests = 0  # requests of the chunks the event loop ran
     candidates = 0
     events = 0
@@ -447,39 +398,27 @@ def vector_simulate(
         misses = 0
         bytes_requested = 0
         bytes_missed = 0
-        for c0 in range(lo, hi, chunk):
+        # The event loop runs [lo, batch_from), the batch loop the rest.
+        batch_from = lo if handoffs else hi
+        for c0 in range(lo, batch_from, chunk):
             c1 = min(c0 + chunk, hi)
-            if not scalar:
-                cand_np = mask_np[ids_np[c0:c1]] == 0
-                if not unit:
-                    cand_np |= over_np[c0:c1]
-                cand = (np.flatnonzero(cand_np) + c0).tolist()
-                # Until the cache first evicts, every event is a bare
-                # insert and the event loop wins up to a higher miss
-                # fraction.  A cold probe marks every occurrence of a
-                # key not yet cached, so the share of the requests so
-                # far that inserted stands in for the chunk's misses.
-                if batch is not None and (
-                        len(cand) > to_scalar * (c1 - c0)
-                        if kernel.stats.evictions
-                        else kernel._count > cold_to_scalar * c0):
-                    ledger.detach(kernel, c0)
-                    scalar = True
-                    handoffs += 1
-            if scalar:
-                _, chunk_misses, chunk_bytes, chunk_missed = batch(
-                    trace, c0, c1
-                )
-                misses += chunk_misses
-                bytes_requested += chunk_bytes
-                bytes_missed += chunk_missed
-                # No chunk follows the last one: attaching there would
-                # advance the pointers over the whole stretch for nothing.
-                if c1 < n and chunk_misses < to_vector * (c1 - c0):
-                    ledger.attach(kernel, c1)
-                    scalar = False
-                    handoffs += 1
-                continue
+            cand_np = mask_np[ids_np[c0:c1]] == 0
+            if not unit:
+                cand_np |= over_np[c0:c1]
+            cand = (np.flatnonzero(cand_np) + c0).tolist()
+            # Until the cache first evicts, every event is a bare
+            # insert and the event loop wins up to a higher miss
+            # fraction.  A cold probe marks every occurrence of a key
+            # not yet cached, so the share of the requests so far that
+            # inserted stands in for the chunk's misses.
+            if batch is not None and (
+                    len(cand) > crossover * (c1 - c0)
+                    if kernel.stats.evictions
+                    else kernel._count > cold_crossover * c0):
+                ledger.detach(kernel, c0)
+                handoffs = 1
+                batch_from = c0
+                break
             vector_requests += c1 - c0
             if not unit:
                 bytes_requested += int(sizes_np[c0:c1].sum())
@@ -515,6 +454,11 @@ def vector_simulate(
                 bytes_missed += size
                 ptr[kid] += 1  # consume this occurrence (insert invariant)
             events += nev
+        if batch_from < hi:
+            _, seg_misses, seg_bytes, seg_missed = batch(trace, batch_from, hi)
+            misses += seg_misses
+            bytes_requested += seg_bytes
+            bytes_missed += seg_missed
         counters.append((misses, bytes_requested, bytes_missed))
     requests = n - warmup_requests
     misses, bytes_requested, bytes_missed = counters[1]

@@ -30,6 +30,8 @@ import zlib
 from array import array
 from typing import Hashable, Iterable, Iterator, List, Optional, Union
 
+import numpy as np
+
 from repro.sim.request import Request
 
 TraceItem = Union[Request, tuple, Hashable]
@@ -155,32 +157,15 @@ class CompiledTrace:
         """
         idx = self._occ_index
         if idx is None:
-            n = len(self.keys)
             k = self.num_objects
-            try:
-                import numpy as np
-            except ImportError:  # pragma: no cover - numpy is a hard dep
-                np = None
-            if np is not None and n:
-                ids = np.frombuffer(self.keys, dtype=np.int64)
-                # Stable sort by id groups positions per key while
-                # keeping each group in ascending position order.
-                occ_pos = np.argsort(ids, kind="stable").tolist()
-                counts = np.bincount(ids, minlength=k)
-                starts = np.zeros(k + 1, dtype=np.int64)
-                np.cumsum(counts, out=starts[1:])
-                occ_start = starts.tolist()
-            else:
-                buckets: List[list] = [[] for _ in range(k)]
-                for i, kid in enumerate(self.keys):
-                    buckets[kid].append(i)
-                occ_pos = [p for b in buckets for p in b]
-                occ_start = [0] * (k + 1)
-                acc = 0
-                for j, b in enumerate(buckets):
-                    acc += len(b)
-                    occ_start[j + 1] = acc
-            idx = self._occ_index = (occ_pos, occ_start)
+            ids = np.frombuffer(self.keys, dtype=np.int64)
+            # Stable sort by id groups positions per key while keeping
+            # each group in ascending position order.
+            occ_pos = np.argsort(ids, kind="stable").tolist()
+            counts = np.bincount(ids, minlength=k)
+            starts = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            idx = self._occ_index = (occ_pos, starts.tolist())
         return idx
 
     def checksum(self) -> str:

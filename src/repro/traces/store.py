@@ -30,6 +30,8 @@ import json
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.traces.compiled import CompiledTrace, compile_trace
 
 #: Default cache directory, relative to the working directory (matches
@@ -37,14 +39,6 @@ from repro.traces.compiled import CompiledTrace, compile_trace
 DEFAULT_TRACE_CACHE = Path("benchmarks") / "results" / ".trace-cache"
 
 _INDEX_NAME = "index.json"
-
-
-def _numpy():
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        return None
-    return np
 
 
 def _load_index(cache_dir: Path) -> dict:
@@ -70,12 +64,9 @@ def store_trace(
     Content-addressed: the filename is the trace's
     :meth:`~repro.traces.compiled.CompiledTrace.checksum`, so identical
     content is stored once no matter how many spec keys point at it.
-    Returns ``None`` when the trace cannot be serialized (no NumPy, or
-    a key table JSON cannot represent).
+    Returns ``None`` when the trace cannot be serialized (a key table
+    JSON cannot represent).
     """
-    np = _numpy()
-    if np is None:
-        return None
     table = trace.key_table
     if all(isinstance(k, int) and not isinstance(k, bool) for k in table):
         table_payload = {"table_int": np.asarray(table, dtype=np.int64)}
@@ -113,9 +104,6 @@ def load_trace(
     name: Optional[str] = None,
 ) -> Optional[CompiledTrace]:
     """Rebuild a stored trace by checksum; ``None`` on any miss."""
-    np = _numpy()
-    if np is None:
-        return None
     cache_dir = Path(cache_dir) if cache_dir else DEFAULT_TRACE_CACHE
     path = cache_dir / f"{checksum}.npz"
     if not path.is_file():

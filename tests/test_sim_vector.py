@@ -16,11 +16,12 @@ pin every clause of that promise:
   where forced-candidate bookkeeping could drift;
 * engine wiring: ``simulate_compiled`` routing, eligibility rules,
   and the no-mutation guarantee (the policy object stays pristine);
-* handoffs under ``engine="auto"``: with the crossover set so that the
-  engine changes loop at every chunk, alternates as the data dictates,
-  or never changes, every result field still equals the scalar
-  engine's, on unit and sized traces, with the warmup boundary inside
-  either loop's stretch.
+* the handoff under ``engine="auto"``: with the crossover set so that
+  the engine hands off after the first chunk, after the first
+  eviction, where the data dictates, or never, every result field
+  still equals the scalar engine's, on unit and sized traces, with the
+  warmup boundary inside either loop's stretch; and the engine hands
+  off at most once, also on a scan trace whose miss fraction swings.
 """
 
 import random
@@ -39,7 +40,7 @@ from repro.sim.vector import (
     vector_simulate,
 )
 from repro.traces.compiled import compile_trace
-from repro.traces.synthetic import zipf_trace
+from repro.traces.synthetic import zipf_trace, zipf_with_scans
 
 ZIPF = zipf_trace(num_objects=300, num_requests=4000, alpha=1.0, seed=21)
 SCAN = [f"s{i}" for i in range(400)]
@@ -354,21 +355,18 @@ def test_sweep_job_engine_pinning():
 # Handoffs between the event loop and the twin's batch loop (auto)
 # ----------------------------------------------------------------------
 
-#: (crossover, cold crossover, hysteresis) per handoff pattern.  The
-#: event loop keeps every chunk until the cache first evicts (no chunk
-#: reaches the cold crossover), except in "batch-early", which hands
-#: off after the first chunk and never back.  After the first eviction,
-#: "every": both loops give up after each chunk, so every chunk
-#: boundary is a handoff pair.  "alternate": a 0.5 crossover with no
-#: band, so the trace decides.  "vector-only": no handoff, ever.
-#: "batch-once-full": one handoff, at the first chunk after the first
-#: eviction.
+#: (crossover, cold crossover) per handoff pattern.  The event loop
+#: keeps every chunk until the cache first evicts (no chunk reaches the
+#: cold crossover), except in "batch-early", which hands off after the
+#: first chunk.  After the first eviction, "alternate": a 0.5
+#: crossover, so the trace decides whether and where the one handoff
+#: happens.  "vector-only": no handoff, ever.  "batch-once-full": one
+#: handoff, at the first chunk after the first eviction.
 HANDOFF_MODES = {
-    "every": (0.5, 3.0, -2.0),
-    "alternate": (0.5, 2.0, 0.0),
-    "vector-only": (2.0, 2.0, 0.0),
-    "batch-early": (-1.0, -1.0, 0.0),
-    "batch-once-full": (-1.0, 2.0, 0.0),
+    "alternate": (0.5, 2.0),
+    "vector-only": (2.0, 2.0),
+    "batch-early": (-1.0, -1.0),
+    "batch-once-full": (-1.0, 2.0),
 }
 HANDOFF_POLICIES = (
     "fifo", "fifo-fast", "sieve", "sieve-fast", "s3fifo", "s3fifo-fast",
@@ -376,12 +374,11 @@ HANDOFF_POLICIES = (
 
 
 def _auto_run(mode, name, capacity, trace, chunk, warmup_requests=None):
-    crossover, cold, band = HANDOFF_MODES[mode]
+    crossover, cold = HANDOFF_MODES[mode]
     with pytest.MonkeyPatch.context() as mp:
         for kind in vector.CROSSOVER:
             mp.setitem(vector.CROSSOVER, kind, crossover)
             mp.setitem(vector.COLD_CROSSOVER, kind, cold)
-        mp.setattr(vector, "HYSTERESIS", band)
         return vector_simulate(
             create_policy(name, capacity), trace, chunk=chunk,
             warmup_requests=warmup_requests, auto=True,
@@ -399,6 +396,7 @@ def _assert_auto_matches_scalar(mode, name, capacity, trace, chunk,
     _assert_identical(ref, got, ctx)
     assert (got.hit_run_requests + got.event_requests
             + got.scalar_requests) == len(trace), ctx
+    assert got.handoffs == (got.scalar_requests > 0), ctx
     return got
 
 
@@ -452,9 +450,9 @@ def test_handoff_property_sized(items, capacity, chunk, mode, warm):
 @pytest.mark.parametrize("mode", sorted(HANDOFF_MODES))
 def test_handoff_differential(mode, name):
     """Fixed traces with scans and oversized requests; the warmup
-    boundary (1234) falls inside a batch-loop stretch in
-    "batch-early"/"batch-once-full"/"every" and inside a hit-run
-    stretch in "vector-only"."""
+    boundary (1234) falls inside the batch-loop stretch in
+    "batch-early"/"batch-once-full" and inside a hit-run stretch in
+    "vector-only"."""
     for tname, (trace, caps) in TRACES.items():
         for cap in caps:
             for chunk in (5, 130):
@@ -468,12 +466,6 @@ def test_handoff_differential(mode, name):
                 elif mode == "batch-early":
                     assert got.handoffs == 1, ctx
                     assert got.scalar_requests == len(trace) - chunk, ctx
-                elif mode == "batch-once-full":
-                    assert got.handoffs == (got.scalar_requests > 0), ctx
-                elif mode == "every":
-                    # Every stretch in the batch loop hands back, except
-                    # after the trace's last chunk.
-                    assert got.handoffs % 2 == (got.scalar_requests > 0), ctx
                 if cap == 7 and mode != "vector-only":
                     # The zipf trace overflows capacity 7 at once.
                     assert got.engine == "auto", ctx
@@ -482,16 +474,38 @@ def test_handoff_differential(mode, name):
 
 def test_handoff_folds_pending_hits():
     """A hit-run stretch leaves skipped hits pending; the handoff to
-    the batch loop must fold them before that loop evicts.  A scan
-    fills the cache, keys 0-3 enter it, a chunk of hits on them runs
-    as hit runs, and the next scan hands off and evicts them."""
-    scan = list(range(100, 116))
-    keys = scan + [0, 1, 2, 3] * 8 + [s + 100 for s in scan] + [0, 1, 2, 3]
+    the batch loop must fold them before that loop evicts.  Keys 0-3
+    fill the cache and their hits run as hit runs.  Key 200 brings the
+    first eviction, which settles the keys it passes, and its two hits
+    are left pending.  The batch loop takes the next chunk, where keys
+    100 and 101 evict 200 unless its folded hits protect it."""
+    hot = [0, 1, 2, 3]
+    keys = (hot * 4 + hot * 4 + hot * 3 + [0, 200, 200, 200] + [100, 101]
+            + hot * 4)
     trace = compile_trace(keys)
     for name in HANDOFF_POLICIES:
-        got = _assert_auto_matches_scalar("alternate", name, 6, trace, 16)
-        assert got.engine == "auto" and got.handoffs >= 3, name
+        got = _assert_auto_matches_scalar("batch-once-full", name, 4, trace,
+                                          16)
+        assert got.engine == "auto" and got.handoffs == 1, name
+        assert got.scalar_requests == len(keys) - 48, name
         assert got.hit_run_requests >= 12, name
+
+
+def test_auto_hands_off_at_most_once():
+    """Default constants on Zipf traffic with a 1000-key scan every 10k
+    requests: a scan's misses send the run to the batch loop, which
+    keeps it through the hot phases that follow, although their miss
+    fraction falls below the crossover again."""
+    trace = compile_trace(zipf_with_scans(20_000, 60_000, alpha=1.4,
+                                          scan_length=1000,
+                                          scan_every=10_000, seed=3))
+    for name in ("fifo-fast", "sieve-fast", "s3fifo-fast"):
+        ref = simulate_compiled(create_policy(name, 2000), trace,
+                                engine="scalar")
+        got = simulate_compiled(create_policy(name, 2000), trace,
+                                engine="auto")
+        _assert_identical(ref, got, (name,))
+        assert got.handoffs <= 1, name
 
 
 def test_sfifo_never_hands_off():

@@ -107,6 +107,18 @@ class TestBuffers:
         assert index == {"a": 0, "b": 1, 7: 2}
         assert ct.key_index() is index
 
+    @pytest.mark.parametrize(
+        "keys", [[], ["a"], ["a", "b", "a", "c", "b", "a"]]
+    )
+    def test_occurrence_index_lists_each_key_positions(self, keys):
+        ct = compile_trace(keys)
+        occ_pos, occ_start = ct.occurrence_index()
+        assert occ_start[0] == 0 and occ_start[-1] == len(keys)
+        for kid, key in enumerate(ct.key_table):
+            got = occ_pos[occ_start[kid]:occ_start[kid + 1]]
+            assert got == [i for i, k in enumerate(keys) if k == key]
+        assert ct.occurrence_index() is ct.occurrence_index()
+
     def test_checksum_stable_and_discriminating(self):
         a = compile_trace(["a", "b", "a"])
         b = compile_trace(["x", "y", "x"])  # same id structure
