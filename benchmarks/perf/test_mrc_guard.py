@@ -1,8 +1,10 @@
 """Full-size single-pass MRC perf guard, 1M requests at 8 sizes.
 
 Marked ``perf``/``mrc`` and excluded from tier-1 (see pyproject
-addopts); run via ``make mrc-fast`` or ``pytest benchmarks/perf -m
-perf``.  Enforces the PR's headline claim: the single-pass multi-size
+addopts); ``make perf`` (``pytest benchmarks/perf/ -m perf``) runs it
+with the other perf guards, and so does the last step of ``make
+mrc-fast`` (its ``pytest tests/ -m mrc`` step does not collect
+``benchmarks/perf/``).  Enforces the PR's headline claim: the single-pass multi-size
 FIFO engine computes all 8 cache sizes of a 1M-request Zipf(1.0) MRC
 at least 3x faster than re-simulating per size — with the *fast twin*
 as the baseline, not the reference policy, so the bar is the honest

@@ -374,8 +374,8 @@ def _serve_network(args: argparse.Namespace, service) -> int:
     and exits 2 — no traceback, so supervisors and shell scripts get a
     parseable failure.
     """
-    import asyncio
     import signal
+    import threading
 
     from repro.netsrv.server import CacheServer
     from repro.obs import MetricsRegistry
@@ -389,10 +389,9 @@ def _serve_network(args: argparse.Namespace, service) -> int:
         idle_timeout=args.idle_timeout,
         metrics=MetricsRegistry(),
     )
-
-    async def _run() -> int:
+    try:
         try:
-            await server.start()
+            server.start()
         except OSError as exc:
             ports = [
                 f"{proto} port {port}"
@@ -406,10 +405,9 @@ def _serve_network(args: argparse.Namespace, service) -> int:
                 file=sys.stderr,
             )
             return 2
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
+        stop = threading.Event()
         for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
+            signal.signal(sig, lambda *_: stop.set())
         if server.resp_port is not None:
             print(f"resp: listening on {args.host}:{server.resp_port}",
                   flush=True)
@@ -419,14 +417,11 @@ def _serve_network(args: argparse.Namespace, service) -> int:
                 f"{args.host}:{server.memcached_port}",
                 flush=True,
             )
-        await stop.wait()
+        stop.wait()
         print("draining: accepting no new connections, finishing "
               "in-flight commands...", flush=True)
-        await server.drain(timeout=args.drain_timeout)
+        server.stop(drain_timeout=args.drain_timeout)
         return 0
-
-    try:
-        return asyncio.run(_run())
     finally:
         # The server never owns the backend: the phased mp/cluster
         # teardown (and the plain close for thread backends) runs

@@ -8,11 +8,12 @@ service layer" and "a cache you can point a stock client at":
 * :mod:`repro.netsrv.memcached` — incremental memcached text-protocol
   parser (multi-key ``get``/``gets``, ``set``/``delete`` with
   ``noreply``, ``stats``, ``version``, ``quit``).
-* :mod:`repro.netsrv.server` — the asyncio :class:`CacheServer`
-  speaking both protocols over any backend (thread, sharded, mp
-  pipe/shm, cluster), with pipelining, connection limits, idle
-  timeouts, graceful drain, fault injection, and ``repro_net_*``
-  metrics; :class:`ServerThread` runs it for synchronous callers.
+* :mod:`repro.netsrv.server` — :class:`CacheServer`, one blocking
+  thread per connection, speaking both protocols over any backend
+  (thread, sharded, mp pipe/shm, cluster), with pipelining,
+  connection limits, idle timeouts, graceful drain, fault injection,
+  and ``repro_net_*`` metrics; ``start()``/``stop()`` or a ``with``
+  block run it from synchronous code.
 * :mod:`repro.netsrv.client` — minimal blocking clients (no external
   client libraries needed) used by the conformance tests and the
   load generator's socket mode.
@@ -41,13 +42,11 @@ from repro.netsrv.server import (
     PROTOCOLS,
     SERVER_VERSION,
     CacheServer,
-    ServerThread,
     exptime_to_ttl,
 )
 
 __all__ = [
     "CacheServer",
-    "ServerThread",
     "PROTOCOLS",
     "SERVER_VERSION",
     "exptime_to_ttl",

@@ -1,4 +1,4 @@
-"""Asyncio TCP front-end: RESP2 + memcached text over any backend.
+"""Threaded TCP front-end: RESP2 + memcached text over any backend.
 
 This is the step from "library" to "service": stock clients
 (``redis-cli``, ``redis-py``, ``pymemcache``, or a bare socket) talk
@@ -11,23 +11,23 @@ one :class:`CacheServer`.
 Architecture
 ------------
 
-One asyncio event loop owns every socket: it **parses** (the
-incremental parsers in :mod:`repro.netsrv.resp` /
-:mod:`repro.netsrv.memcached` never block on value bytes) and the
-backend **evicts** — for the mp backend that is exactly the
-"event loop parses, workers evict" split the ROADMAP calls for: the
-loop's only blocking work is the IPC round-trip, and the eviction,
-hashing, and TTL bookkeeping burn other cores.
+One accept thread per listener, and one blocking thread per admitted
+connection.  A connection's thread loops ``recv`` → ``parser.feed`` →
+execute → ``sendall``: the incremental parsers in
+:mod:`repro.netsrv.resp` / :mod:`repro.netsrv.memcached` turn each
+delivered chunk into complete commands, every complete command in it
+executes, and the replies go out in one ``sendall``.  A depth-1
+request costs two system calls and no event-loop dispatch.  The
+backend **evicts**: for the mp backend the eviction, hashing, and TTL
+bookkeeping burn worker cores while the connection thread waits on
+the IPC round-trip without the GIL.
 
-Each connection is one :class:`asyncio.Protocol`: ``data_received``
-feeds the delivered chunk to the parser, executes every complete
-command in it, and answers them in one ``transport.write`` — a request
-costs one loop callback and creates no task.  Consecutive single-key
-RESP ``GET`` commands in a pipeline are *fused* into one
-``service.get_many`` call (one round-trip per involved mp worker;
-reply order is preserved).  While the write buffer is over its
-high-water mark (the client is not reading) the connection stops
-reading, so a pipelining client cannot grow the server's buffers.
+Consecutive single-key RESP ``GET`` commands in a pipeline are *fused*
+into one ``service.get_many`` call (one round-trip per involved mp
+worker; reply order is preserved).  A client that stops reading its
+replies blocks its thread in ``sendall`` once the kernel buffers fill,
+so the thread stops reading too and a pipelining client cannot grow
+the server's buffers.  ``max_connections`` bounds the thread count.
 
 Both protocols interoperate on one store: a value is the pair
 ``(flags, data)`` so a memcached ``set`` with flags survives a RESP
@@ -37,21 +37,20 @@ stores flags 0).
 Lifecycle
 ---------
 
-``await start()`` binds the listeners (``port=0`` picks an ephemeral
-port; the bound port is readable afterwards).  Lifecycle lives on the
-server side: the accept limit is checked as a connection is made, and
-one server-wide timer closes connections idle past ``idle_timeout``.
-``await drain(timeout)`` is the graceful path: stop accepting, close
-every connection ``drain_grace`` seconds later — answering everything
-it receives until then — and abort those still open at the deadline.
-No accepted in-flight command is ever dropped by a drain; the
-conformance tests pin this under load.  The backend is **not** owned
-by the server: callers close it after the drain.
-
-For synchronous callers (tests, the load generator), :class:`
-ServerThread` runs the whole lifecycle on a daemon thread:
-``start()`` blocks until the ports are bound — re-raising bind
-failures in the caller — and ``stop()`` drains and joins.
+``start()`` binds the listeners in the caller (``port=0`` picks an
+ephemeral port, readable afterwards; a bind failure raises there) and
+starts the accept threads.  The accept limit is checked as a
+connection is accepted; ``idle_timeout`` is each connection's receive
+timeout, so it never fires while a reply waits on a slow reader.
+``stop(drain_timeout)`` is the graceful path: stop accepting, let
+every connection read for ``drain_grace`` seconds, then shut its read
+side — the thread answers every command already received, closes,
+and exits — and shut down both directions of those still open at the
+deadline.  No accepted in-flight command is ever dropped by a drain;
+the conformance tests pin this under load.  ``stop()`` returns once
+every server thread has exited.  The server is also a context manager
+(``start()`` on entry, ``stop()`` on exit).  The backend is **not**
+owned by the server: callers close it after the drain.
 
 Faults and observability
 ------------------------
@@ -68,12 +67,16 @@ With a :class:`~repro.obs.metrics.MetricsRegistry` the server
 publishes the ``repro_net_*`` families (per-protocol connection
 gauges and accept/reject/error counters, per-command counters and
 latency histograms) documented in ``docs/OBSERVABILITY.md``; with no
-registry the hot path records nothing.
+registry the hot path records nothing.  The fault clock, the
+connection set and every counter are shared by the connection
+threads and updated under the server's lock.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import socket
+import struct
 import threading
 import time
 import zlib
@@ -98,7 +101,7 @@ from repro.resilience.faults import CONN_RESET, SLOW_CLIENT
 from repro.service.core import RemovalUnsupportedError
 from repro.service.mp import WorkerCrashedError
 
-__all__ = ["CacheServer", "ServerThread", "PROTOCOLS"]
+__all__ = ["CacheServer", "PROTOCOLS"]
 
 PROTOCOLS = ("resp", "memcached")
 
@@ -111,139 +114,125 @@ _RESP_COMMANDS = ("get", "set", "del", "mget", "mset", "exists", "ping",
 _MC_COMMANDS = ("get", "gets", "set", "delete", "stats", "version",
                 "quit", "other")
 
+#: Largest chunk one ``recv`` takes off a connection.
+_READ_CHUNK = 1 << 16
 
-class _Connection(asyncio.Protocol):
-    """One client connection (see Architecture above).  Reading pauses
-    while the write buffer is over its high-water mark and while a
-    ``slow-client`` stall runs, the only task a connection creates."""
+#: ``SO_LINGER`` on with a zero timeout: ``close()`` sends RST, no FIN.
+_LINGER_RST = struct.pack("ii", 1, 0)
 
-    __slots__ = ("server", "protocol", "parser", "execute", "transport",
-                 "last_active", "write_paused", "stall", "draining")
 
-    def __init__(self, server: "CacheServer", protocol: str) -> None:
+class _Connection:
+    """One client connection, served by its own thread (see
+    Architecture above)."""
+
+    __slots__ = ("server", "protocol", "sock", "parser", "execute",
+                 "send", "thread")
+
+    def __init__(self, server: "CacheServer", protocol: str,
+                 sock: socket.socket) -> None:
         self.server = server
         self.protocol = protocol
+        self.sock = sock
         if protocol == "resp":
             self.parser: Any = RespParser(max_bulk=server.max_value_size)
             self.execute = server._execute_resp
         else:
             self.parser = McParser(max_value_size=server.max_value_size)
             self.execute = server._execute_mc
-        self.transport: Any = None
-        self.last_active = time.monotonic()
-        self.write_paused = False
-        self.stall: Optional[asyncio.Task] = None
-        self.draining = False
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if server.idle_timeout is None:
+            self.send = sock.sendall
+        else:
+            sock.settimeout(server.idle_timeout)
+            self.send = self._send_past_timeout
+        self.thread = threading.Thread(
+            target=self.run, name=f"netsrv-{protocol}-conn", daemon=True
+        )
 
-    # -- asyncio callbacks ---------------------------------------------
-    def connection_made(self, transport: Any) -> None:
-        self.transport = transport
-        self.server._admit(self)
+    def run(self) -> None:
+        """Thread body: serve the connection until EOF, QUIT, a
+        protocol error, a fault, the idle timeout or a drain."""
+        sock, server = self.sock, self.server
+        try:
+            while True:
+                try:
+                    data = sock.recv(_READ_CHUNK)
+                except socket.timeout:
+                    server._count(server._idle_closes, self.protocol)
+                    return
+                if not data or not self.data_received(data):
+                    return
+        except OSError:
+            pass  # the peer reset, or the drain deadline shut the socket
+        finally:
+            server._release(self)
 
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        if self.stall is not None:
-            self.stall.cancel()
-        self.server._release(self)
-
-    def data_received(self, data: bytes) -> None:
-        self.last_active = time.monotonic()
+    def data_received(self, data: bytes) -> bool:
+        """Parse, execute and answer one chunk; False closes."""
         try:
             commands = self.parser.feed(data)
         except (RespProtocolError, McProtocolError) as exc:
-            self.server._proto_errors[self.protocol] += 1
-            self.transport.write(
+            self.server._count(self.server._proto_errors, self.protocol)
+            self.send(
                 encode_error(f"ERR Protocol error: {exc}")
                 if self.protocol == "resp"
                 else f"CLIENT_ERROR {exc}\r\n".encode()
             )
-            self.transport.close()
-            return
-        if commands:
-            self._respond(commands)
+            return False
+        return self._respond(commands) if commands else True
 
-    def pause_writing(self) -> None:
-        self.write_paused = True
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self.write_paused = False
-        self._resume_reading()
+    def _send_past_timeout(self, data: bytes) -> None:
+        """``sendall`` that waits out the receive timeout: a reply
+        blocked on a slow reader is not idleness."""
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[self.sock.send(view):]
+            except socket.timeout:
+                pass
 
     # -- request path ----------------------------------------------------
-    def _respond(self, commands: List[Any]) -> None:
-        """Execute a pipeline on the server-wide accepted-command clock.
+    def _respond(self, commands: List[Any]) -> bool:
+        """Execute a pipeline on the server-wide accepted-command clock
+        and write the replies; False closes the connection.
 
-        A ``conn-reset`` fault executes only the commands before it;
-        a ``slow-client`` fault hands the writes to :meth:`_stalled`.
+        A ``conn-reset`` fault executes only the commands before it,
+        then aborts; a ``slow-client`` fault sleeps before the covered
+        command's reply.
         """
-        server, start = self.server, self.server._clock
-        server._clock = start + len(commands)
+        server = self.server
+        with server._lock:
+            start = server._clock
+            server._clock = start + len(commands)
         clocked = [(cmd, start + i) for i, cmd in enumerate(commands, 1)]
         plan = server._fault_plan
         if plan is None:
             replies, close = self.execute(clocked)
-            self._finish(replies, False, close)
-            return
+            out = b"".join(replies)
+            if out:
+                self.send(out)
+            return not close
         reset = next((i for i, (_, clock) in enumerate(clocked)
                       if plan.active(CONN_RESET, clock)), None)
         if reset is not None:
             clocked = clocked[:reset]
         replies, close = self.execute(clocked)
-        stalls = [(i, window.magnitude)
-                  for i, (_, clock) in enumerate(clocked[:len(replies)])
-                  if (window := plan.window(SLOW_CLIENT, clock)) is not None]
-        if not stalls:
-            self._finish(replies, reset is not None, close)
-            return
-        self.transport.pause_reading()
-        self.stall = asyncio.ensure_future(
-            self._stalled(replies, stalls, reset is not None, close)
-        )
-
-    async def _stalled(self, replies: List[bytes],
-                       stalls: List[Tuple[int, float]],
-                       reset: bool, close: bool) -> None:
-        """Write the replies, sleeping before each stalled one."""
         done = 0
-        for i, seconds in stalls:
-            self.transport.write(b"".join(replies[done:i]))
-            done = i
-            await asyncio.sleep(seconds)
-        self.stall = None
-        self._finish(replies[done:], reset, close or self.draining)
-        self._resume_reading()
-
-    def _finish(self, replies: List[bytes], reset: bool,
-                close: bool) -> None:
-        """Write the replies; then abort (``conn-reset``) or close (QUIT)."""
-        transport = self.transport
-        out = b"".join(replies)
+        for i, (_, clock) in enumerate(clocked[:len(replies)]):
+            window = plan.window(SLOW_CLIENT, clock)
+            if window is not None:
+                self.send(b"".join(replies[done:i]))
+                done = i
+                server._aborted.wait(window.magnitude)
+        out = b"".join(replies[done:])
         if out:
-            transport.write(out)
-        if reset:
-            self.server._resets[self.protocol] += 1
-            transport.abort()  # RST: no FIN, no reply
-        elif close:
-            transport.close()
-
-    # -- server-side lifecycle -----------------------------------------
-    @property
-    def busy(self) -> bool:
-        """Waiting on a stall or on the client reading its replies."""
-        return (self.stall is not None or self.write_paused
-                or self.transport.is_closing())
-
-    def _resume_reading(self) -> None:
-        if not self.busy:
-            self.last_active = time.monotonic()
-            self.transport.resume_reading()
-
-    def end_grace(self) -> None:
-        """Drain: close once the grace period is over (after a stall)."""
-        if self.stall is not None:
-            self.draining = True
-        else:
-            self.transport.close()
+            self.send(out)
+        if reset is not None:
+            server._count(server._resets, self.protocol)
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                 _LINGER_RST)  # close() sends RST
+            return False
+        return not close
 
 
 def exptime_to_ttl(exptime: int) -> Optional[float]:
@@ -277,11 +266,13 @@ class CacheServer:
         ``0`` binds an ephemeral port (read the bound port back from
         :attr:`resp_port` / :attr:`memcached_port` after ``start()``).
     max_connections:
-        Accept limit across both protocols; connections over the limit
-        are closed immediately (counted in ``repro_net_rejected``).
+        Accept limit across both protocols, and so the bound on
+        connection threads; connections over the limit are closed
+        immediately (counted in ``repro_net_rejected``).
     idle_timeout:
-        Seconds a connection may sit without delivering bytes before
-        the server closes it (``None`` = never).
+        Seconds a connection may wait for bytes before the server
+        closes it (``None`` = never).  Time spent writing replies to a
+        client that reads slowly does not count.
     max_value_size:
         Largest value accepted on either protocol.  RESP bulk strings
         above it are a protocol error (connection closes, like Redis's
@@ -334,15 +325,18 @@ class CacheServer:
         self.drain_grace = drain_grace
         self._fault_plan = fault_plan
         self._clock = 0  # accepted-command sequence number (fault clock)
-        self._servers: List[asyncio.base_events.Server] = []
+        #: Guards the fault clock, the connection set and the counters.
+        self._lock = threading.Lock()
+        #: Set at the drain deadline: cuts ``slow-client`` stalls short.
+        self._aborted = threading.Event()
+        self._listeners: List[socket.socket] = []
+        self._acceptors: List[threading.Thread] = []
         self._connections: set = set()
         self._accepted = {p: 0 for p in PROTOCOLS}
         self._rejected = {p: 0 for p in PROTOCOLS}
         self._proto_errors = {p: 0 for p in PROTOCOLS}
         self._idle_closes = {p: 0 for p in PROTOCOLS}
         self._resets = {p: 0 for p in PROTOCOLS}
-        self._sweep: Optional[asyncio.TimerHandle] = None
-        self._all_closed: Optional[asyncio.Future] = None
         self._started = False
         self._closed = False
         self._cmd_counters: Dict[Tuple[str, str], Any] = {}
@@ -353,64 +347,95 @@ class CacheServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "CacheServer":
-        """Bind the listeners; ephemeral ports become readable after."""
+    def start(self) -> "CacheServer":
+        """Bind the listeners and start accepting.  Bind failures
+        (``EADDRINUSE``) raise here; ephemeral ports become readable
+        after."""
         if self._started:
             raise RuntimeError("server already started")
-        loop = asyncio.get_running_loop()
-        if self.resp_port is not None:
-            srv = await loop.create_server(
-                lambda: _Connection(self, "resp"),
-                self.host, self.resp_port,
-            )
-            self.resp_port = srv.sockets[0].getsockname()[1]
-            self._servers.append(srv)
-        if self.memcached_port is not None:
-            srv = await loop.create_server(
-                lambda: _Connection(self, "memcached"),
-                self.host, self.memcached_port,
-            )
-            self.memcached_port = srv.sockets[0].getsockname()[1]
-            self._servers.append(srv)
-        if self.idle_timeout is not None:
-            self._sweep = loop.call_later(self.idle_timeout,
-                                          self._sweep_idle)
         self._started = True
+        try:
+            for protocol in PROTOCOLS:
+                port = getattr(self, f"{protocol}_port")
+                if port is None:
+                    continue
+                family, _, _, _, address = socket.getaddrinfo(
+                    self.host, port, type=socket.SOCK_STREAM,
+                    flags=socket.AI_PASSIVE,
+                )[0]
+                listener = socket.create_server(address, family=family,
+                                                backlog=128)
+                self._listeners.append(listener)
+                setattr(self, f"{protocol}_port",
+                        listener.getsockname()[1])
+                self._acceptors.append(threading.Thread(
+                    target=self._accept_loop, args=(listener, protocol),
+                    name=f"netsrv-{protocol}-accept", daemon=True,
+                ))
+        except BaseException:
+            for listener in self._listeners:
+                listener.close()
+            self._listeners.clear()
+            self._acceptors.clear()
+            raise
+        for acceptor in self._acceptors:
+            acceptor.start()
         return self
 
-    async def drain(self, timeout: float = 5.0) -> None:
+    def stop(self, drain_timeout: float = 5.0) -> None:
         """Graceful shutdown: stop accepting, finish accepted work.
 
         Listeners close first (new connects are refused).  Every live
-        connection keeps being served for :attr:`drain_grace` seconds,
-        answering everything it receives, and then closes (flushing its
-        replies).  Connections still open at ``timeout`` are aborted —
-        the bounded deadline the resilience story requires.
+        connection keeps being served for :attr:`drain_grace` seconds;
+        then its read side is shut, so its thread answers every command
+        it has received and closes.  Connections still open
+        ``drain_timeout`` seconds after the call are shut down in both
+        directions, which unblocks a thread waiting on a client that
+        does not read.  Returns once every server thread has exited.
         Idempotent.
         """
-        if self._closed:
-            return
-        self._closed = True
-        loop = asyncio.get_running_loop()
-        for srv in self._servers:
-            srv.close()
-        if self._sweep is not None:
-            self._sweep.cancel()
-        # Schedule the grace closes before awaiting anything: since
-        # Python 3.12.1, Server.wait_closed() waits for the connections.
-        for conn in self._connections:
-            loop.call_later(self.drain_grace, conn.end_grace)
+        with self._lock:
+            if self._closed or not self._started:
+                return
+            self._closed = True
+        deadline = time.monotonic() + drain_timeout
+        for listener in self._listeners:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:
+                # Where shutdown() does not wake a blocked accept(), a
+                # connect does; the closed server rejects it.
+                with contextlib.suppress(OSError):
+                    socket.create_connection(listener.getsockname()[:2],
+                                             timeout=1.0).close()
+        for acceptor in self._acceptors:
+            acceptor.join()
+        for listener in self._listeners:
+            listener.close()
         if self._connections:
-            self._all_closed = loop.create_future()
-            await asyncio.wait([self._all_closed], timeout=timeout)
-            for conn in list(self._connections):
-                conn.transport.abort()
-        for srv in self._servers:
-            await srv.wait_closed()
+            time.sleep(min(self.drain_grace, drain_timeout))
+        self._shut_connections(socket.SHUT_RD, deadline)
+        if self._connections:
+            self._aborted.set()
+            self._shut_connections(socket.SHUT_RDWR, None)
 
-    async def aclose(self) -> None:
-        """Immediate shutdown (a drain with no deadline to spare)."""
-        await self.drain(timeout=0.5)
+    def _shut_connections(self, how: int,
+                          deadline: Optional[float]) -> None:
+        """Shut every live connection's socket (``how``), then join
+        their threads until ``deadline`` (``None`` = until they exit)."""
+        with self._lock:
+            live = list(self._connections)
+            for conn in live:
+                _shutdown(conn.sock, how)
+        for conn in live:
+            conn.thread.join(None if deadline is None
+                             else max(0.0, deadline - time.monotonic()))
+
+    def __enter__(self) -> "CacheServer":
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
 
     @property
     def connections(self) -> int:
@@ -419,39 +444,45 @@ class CacheServer:
     # ------------------------------------------------------------------
     # Connection bookkeeping
     # ------------------------------------------------------------------
-    def _admit(self, conn: _Connection) -> None:
-        """Accept limit: connections over it are closed unserved."""
-        protocol = conn.protocol
-        if self._closed or self.connections >= self.max_connections:
-            self._rejected[protocol] += 1
-            conn.transport.close()
-            return
-        self._accepted[protocol] += 1
-        self._connections.add(conn)
+    def _accept_loop(self, listener: socket.socket, protocol: str) -> None:
+        """Accept thread: admit each connection up to the limit."""
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                if self._closed:
+                    return  # stop() shut the listener down
+                time.sleep(0.01)  # out of descriptors, say: retry
+                continue
+            with self._lock:
+                admitted = (not self._closed
+                            and len(self._connections) < self.max_connections)
+                if admitted:
+                    self._accepted[protocol] += 1
+                    conn = _Connection(self, protocol, sock)
+                    self._connections.add(conn)
+                else:
+                    self._rejected[protocol] += 1
+            if admitted:
+                conn.thread.start()
+            else:
+                sock.close()
 
     def _release(self, conn: _Connection) -> None:
-        self._connections.discard(conn)  # absent if rejected at accept
-        if (not self._connections and self._all_closed is not None
-                and not self._all_closed.done()):
-            self._all_closed.set_result(None)
+        """Connection thread exit: forget the connection, then close
+        its socket (under the lock, so ``stop()`` never shuts down a
+        closed socket)."""
+        with self._lock:
+            self._connections.discard(conn)
+            conn.sock.close()
 
-    def _sweep_idle(self) -> None:
-        """Close connections idle past ``idle_timeout``; re-arm the
-        timer for the next connection due."""
-        now = time.monotonic()
-        next_due = now + self.idle_timeout
-        for conn in list(self._connections):
-            if conn.busy:
-                continue  # the wait is on a stall or on the client
-            due = conn.last_active + self.idle_timeout
-            if due <= now:
-                self._idle_closes[conn.protocol] += 1
-                conn.transport.close()
-            else:
-                next_due = min(next_due, due)
-        self._sweep = asyncio.get_running_loop().call_later(
-            next_due - now, self._sweep_idle
-        )
+    def _count(self, source: Dict[str, int], protocol: str) -> None:
+        with self._lock:
+            source[protocol] += 1
+
+    def _open(self, protocol: str) -> int:
+        with self._lock:
+            return sum(c.protocol == protocol for c in self._connections)
 
     # ------------------------------------------------------------------
     # RESP execution
@@ -733,10 +764,10 @@ class CacheServer:
         counter = self._cmd_counters.get((protocol, command))
         if counter is None:
             return
-        counter.inc(count)
-        self._cmd_latency[(protocol, command)].observe(
-            (time.perf_counter_ns() - t0) / 1000.0
-        )
+        latency_us = (time.perf_counter_ns() - t0) / 1000.0
+        with self._lock:  # Counter.inc/Histogram.observe take no lock
+            counter.inc(count)
+            self._cmd_latency[(protocol, command)].observe(latency_us)
 
     def _wire_metrics(self, registry) -> None:
         """Publish the ``repro_net_*`` families (docs/OBSERVABILITY.md).
@@ -750,12 +781,7 @@ class CacheServer:
             registry.gauge(
                 "repro_net_connections",
                 "Open client connections.", labels,
-            ).set_function(
-                # list() copies in one step: collection may run on
-                # another thread while the loop adds connections.
-                lambda p=protocol: sum(
-                    c.protocol == p for c in list(self._connections))
-            )
+            ).set_function(lambda p=protocol: self._open(p))
             for name, help_text, source in (
                 ("repro_net_accepted",
                  "Connections accepted.", self._accepted),
@@ -798,78 +824,8 @@ def _wrong_args(name: str) -> bytes:
     )
 
 
-# ----------------------------------------------------------------------
-# Synchronous harness
-# ----------------------------------------------------------------------
-class ServerThread:
-    """Run a :class:`CacheServer` on a daemon thread (tests, loadgen).
-
-    ``start()`` blocks until the listeners are bound and re-raises any
-    bind failure (``EADDRINUSE`` surfaces in the caller, not on a
-    thread nobody joins).  ``stop()`` schedules a graceful drain on
-    the loop, waits for it, and joins the thread.  The backing service
-    is still not owned here — close it after ``stop()``.
-    """
-
-    def __init__(self, service: Any, **server_kwargs: Any) -> None:
-        self.server = CacheServer(service, **server_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._stop_requested: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
-        self._drain_timeout = 5.0
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="netsrv", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_requested = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop_requested.wait()
-        await self.server.drain(timeout=self._drain_timeout)
-
-    def stop(self, drain_timeout: float = 5.0) -> None:
-        """Drain gracefully and join; idempotent."""
-        if self._thread is None or not self._thread.is_alive():
-            return
-        self._drain_timeout = drain_timeout
-        loop, stop = self._loop, self._stop_requested
-        if loop is not None and stop is not None:
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                pass  # loop already gone
-        self._thread.join(timeout=drain_timeout + 5.0)
-
-    @property
-    def resp_port(self) -> Optional[int]:
-        return self.server.resp_port
-
-    @property
-    def memcached_port(self) -> Optional[int]:
-        return self.server.memcached_port
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+def _shutdown(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass  # the peer already closed: nothing left to unblock

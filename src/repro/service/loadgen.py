@@ -581,9 +581,9 @@ def run_scenario(
             vnodes=vnodes, checked=checked, default_ttl=ttl, **hooks,
         )
         if wire:
-            from repro.netsrv.server import ServerThread
+            from repro.netsrv.server import CacheServer
 
-            net_server = ServerThread(
+            net_server = CacheServer(
                 service, max_connections=connections + 1,
                 **{f"{frontend}_port": 0},
             ).start()
@@ -591,7 +591,7 @@ def run_scenario(
             wire_value = (value if isinstance(value, bytes)
                           else str(value).encode())
             rounds = [
-                _wire_rounds(frontend, net_server.server.host, port,
+                _wire_rounds(frontend, net_server.host, port,
                              wire_value, [str(k) for k in s])
                 for s in slices
             ]

@@ -18,17 +18,25 @@ Goldens are exact: if a reply byte changes, a stock client somewhere
 breaks, so the test should break first.
 """
 
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.netsrv import (
     McClient,
     RespClient,
     RespError,
     SERVER_VERSION,
-    ServerThread,
+    CacheServer,
 )
 from repro.obs import MetricsRegistry
 from repro.resilience import CONN_RESET, SLOW_CLIENT, FaultPlan
@@ -71,7 +79,7 @@ def exchange(sock: socket.socket, request: bytes, suffix: bytes) -> bytes:
 @pytest.fixture()
 def server():
     service = CacheService(256, "s3fifo")
-    with ServerThread(service, resp_port=0, memcached_port=0) as st:
+    with CacheServer(service, resp_port=0, memcached_port=0) as st:
         yield st
 
 
@@ -133,7 +141,7 @@ class TestRespGoldens:
 
     def test_oversized_value_errors_and_closes(self):
         service = CacheService(64, "s3fifo")
-        with ServerThread(service, resp_port=0,
+        with CacheServer(service, resp_port=0,
                           max_value_size=64) as st:
             sock = connect(st.resp_port)
             try:
@@ -177,7 +185,7 @@ class TestRespGoldens:
             text = recv_until(sock, b"\r\n\r\n").decode()
             assert "# Server" in text and "# Cache" in text
             assert f"repro_version:{SERVER_VERSION}" in text
-            stats = server.server.service.stats()
+            stats = server.service.stats()
             assert "hits" in stats
             assert f"hits:{stats['hits']}" in text
         finally:
@@ -237,7 +245,7 @@ class TestMemcachedGoldens:
 
     def test_oversized_value_swallowed_connection_survives(self):
         service = CacheService(64, "s3fifo")
-        with ServerThread(service, memcached_port=0,
+        with CacheServer(service, memcached_port=0,
                           max_value_size=32) as st:
             sock = connect(st.memcached_port)
             try:
@@ -268,7 +276,7 @@ class TestMemcachedGoldens:
             reply = exchange(sock, b"stats\r\n", b"END\r\n")
             lines = reply.decode().splitlines()
             assert "STAT curr_connections 1" in lines
-            stats = server.server.service.stats()
+            stats = server.service.stats()
             for name in ("hits", "misses", "sets"):
                 assert f"STAT {name} {stats[name]}" in lines
         finally:
@@ -293,7 +301,7 @@ class TestLifecycle:
 
     def test_drain_under_load_loses_no_accepted_commands(self):
         service = CacheService(1024, "s3fifo")
-        st = ServerThread(service, resp_port=0).start()
+        st = CacheServer(service, resp_port=0).start()
         sock = connect(st.resp_port)
         try:
             # The drain contract covers *accepted* connections: complete
@@ -317,7 +325,7 @@ class TestLifecycle:
 
     def test_max_connections_rejects_excess(self):
         service = CacheService(64, "s3fifo")
-        with ServerThread(service, resp_port=0, max_connections=2) as st:
+        with CacheServer(service, resp_port=0, max_connections=2) as st:
             first = connect(st.resp_port)
             second = connect(st.resp_port)
             third = connect(st.resp_port)
@@ -332,13 +340,36 @@ class TestLifecycle:
 
     def test_idle_timeout_closes_quiet_connections(self):
         service = CacheService(64, "s3fifo")
-        with ServerThread(service, resp_port=0, idle_timeout=0.15) as st:
+        with CacheServer(service, resp_port=0, idle_timeout=0.15) as st:
             sock = connect(st.resp_port)
             try:
                 assert exchange(sock, b"PING\r\n", b"\r\n") == b"+PONG\r\n"
                 start = time.monotonic()
                 assert recv_eof(sock) == b""
                 assert time.monotonic() - start < 4.0
+            finally:
+                sock.close()
+
+    def test_idle_timeout_spares_a_connection_waiting_on_its_reader(self):
+        """The idle timeout times receives only: replies blocked on a
+        client that reads late are still delivered."""
+        size = 1 << 16
+        service = CacheService(64, "s3fifo")
+        service.set("big", (0, b"x" * size))
+        with CacheServer(service, resp_port=0, idle_timeout=0.2) as st:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, size)
+            sock.settimeout(5.0)
+            sock.connect(("127.0.0.1", st.resp_port))
+            try:
+                n = 128  # 8 MiB of replies, far past the kernel buffers
+                sock.sendall(resp_get(b"big") * n)
+                time.sleep(0.6)  # three idle timeouts without reading
+                reply = b"$%d\r\n%s\r\n" % (size, b"x" * size)
+                for _ in range(n):
+                    assert recv_exact(sock, len(reply)) == reply
+                # Once the replies are out, the quiet connection closes.
+                assert recv_eof(sock) == b""
             finally:
                 sock.close()
 
@@ -350,9 +381,43 @@ class TestLifecycle:
         try:
             service = CacheService(64, "s3fifo")
             with pytest.raises(OSError):
-                ServerThread(service, resp_port=port).start()
+                CacheServer(service, resp_port=port).start()
         finally:
             squatter.close()
+
+    def test_stop_leaves_no_server_thread_alive(self):
+        """``stop()`` returns with every accept and connection thread
+        gone, even while one thread is blocked writing to a client that
+        never reads."""
+        before = set(threading.enumerate())
+        size = 1 << 16
+        service = CacheService(64, "s3fifo")
+        service.set("big", (0, b"x" * size))
+        st = CacheServer(service, resp_port=0, memcached_port=0).start()
+        quiet = connect(st.memcached_port)
+        stuck = socket.socket()
+        stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, size)
+        stuck.connect(("127.0.0.1", st.resp_port))
+        try:
+            assert exchange(quiet, b"version\r\n", b"\r\n") == \
+                f"VERSION {SERVER_VERSION}\r\n".encode()
+            # 16 MiB of replies the client never reads: the thread
+            # serving it blocks in sendall.
+            stuck.sendall(resp_get(b"big") * 256)
+            assert wait_for(lambda: service.stats()["gets"] == 256)
+            assert {t.name for t in set(threading.enumerate()) - before} \
+                >= {"netsrv-resp-accept", "netsrv-memcached-accept",
+                    "netsrv-resp-conn", "netsrv-memcached-conn"}
+            start = time.monotonic()
+            st.stop(drain_timeout=0.5)
+            elapsed = time.monotonic() - start
+            assert set(threading.enumerate()) - before == set()
+            # Only the deadline's shutdown freed the blocked thread.
+            assert 0.5 <= elapsed < 5.0
+            assert recv_eof(quiet) == b""
+        finally:
+            quiet.close()
+            stuck.close()
 
 
 class CountingService(CacheService):
@@ -416,7 +481,7 @@ class TestConnectionPath:
         service = CountingService(256, "s3fifo")
         for i in range(32):
             service.set(f"k{i}", (0, b"v%d" % i))
-        with ServerThread(service, resp_port=0) as st:
+        with CacheServer(service, resp_port=0) as st:
             sock = connect(st.resp_port)
             try:
                 expected = b"".join(b"$%d\r\nv%d\r\n" % (len(b"v%d" % i), i)
@@ -429,37 +494,39 @@ class TestConnectionPath:
         assert service.reads == [("get_many", 32)]
 
     def test_client_that_stops_reading_pauses_the_connection(self):
-        """Replies a client leaves unread stop the server reading, so
-        its write buffer stays near the transport's high-water mark."""
+        """Replies a client leaves unread stop the server reading: the
+        connection's thread blocks writing, so the commands pipelined
+        behind them are neither executed nor answered until the client
+        reads."""
         size = 1 << 16
         service = CountingService(64, "s3fifo")
         for k in range(4):
             service.set(f"v{k}", (0, bytes([65 + k]) * size))
-        with ServerThread(service, resp_port=0) as st:
+
+        def served() -> int:
+            return sum(n for _, n in service.reads)
+
+        with CacheServer(service, resp_port=0) as st:
             sock = socket.socket()
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, size)
             sock.settimeout(10.0)
             sock.connect(("127.0.0.1", st.resp_port))
             try:
-                assert wait_for(lambda: len(st.server._connections) == 1)
-                conn = next(iter(st.server._connections))
                 sent = 0
                 # One GET per delivered chunk until the kernel buffers
-                # fill up and the server stops reading.
-                while conn.transport.is_reading():
+                # fill up and the server stops executing them.
+                while wait_for(lambda: served() == sent, timeout=0.5):
                     assert sent < 1024, "reading never paused"
                     sock.sendall(resp_get(b"v%d" % (sent % 4)))
                     sent += 1
-                    assert wait_for(lambda: len(service.reads) == sent
-                                    or not conn.transport.is_reading())
+                stalled = served()
                 # Pipeline more, for at least 4 MiB of replies in all.
                 more = max(64, sent + 16) - sent
                 sock.sendall(b"".join(resp_get(b"v%d" % ((sent + i) % 4))
                                       for i in range(more)))
-                time.sleep(0.2)
-                assert not conn.transport.is_reading()
-                assert conn.transport.get_write_buffer_size() < 4 * size
+                time.sleep(0.3)
                 total = sent + more
+                assert served() == stalled <= sent <= total - 16
                 reply = b"$%d\r\n" % size
                 for i in range(total):
                     assert recv_exact(sock, len(reply) + size + 2) == \
@@ -467,11 +534,11 @@ class TestConnectionPath:
                 assert exchange(sock, b"PING\r\n", b"\r\n") == b"+PONG\r\n"
             finally:
                 sock.close()
-        assert sum(n for _, n in service.reads) == total
+        assert served() == total
 
     def test_half_closed_client_gets_every_reply_before_fin(self):
         service = CacheService(1024, "s3fifo")
-        with ServerThread(service, resp_port=0) as st:
+        with CacheServer(service, resp_port=0) as st:
             sock = connect(st.resp_port)
             try:
                 n = 500
@@ -490,7 +557,7 @@ class TestFaultsAndMetrics:
     def test_conn_reset_fault_answers_then_resets(self):
         service = CacheService(64, "s3fifo")
         plan = FaultPlan().add(CONN_RESET, 4, 5)
-        with ServerThread(service, resp_port=0, fault_plan=plan) as st:
+        with CacheServer(service, resp_port=0, fault_plan=plan) as st:
             client = RespClient("127.0.0.1", st.resp_port)
             try:
                 # Commands 1-3 of the server-wide clock succeed...
@@ -513,7 +580,7 @@ class TestFaultsAndMetrics:
     def test_slow_client_fault_stalls_the_window(self):
         service = CacheService(64, "s3fifo")
         plan = FaultPlan().add(SLOW_CLIENT, 1, 2, magnitude=0.3)
-        with ServerThread(service, resp_port=0, fault_plan=plan) as st:
+        with CacheServer(service, resp_port=0, fault_plan=plan) as st:
             client = RespClient("127.0.0.1", st.resp_port)
             try:
                 start = time.monotonic()
@@ -530,7 +597,7 @@ class TestFaultsAndMetrics:
     def test_per_protocol_metrics(self):
         service = CacheService(64, "s3fifo")
         registry = MetricsRegistry()
-        with ServerThread(service, resp_port=0, memcached_port=0,
+        with CacheServer(service, resp_port=0, memcached_port=0,
                           metrics=registry) as st:
             resp = RespClient("127.0.0.1", st.resp_port)
             mc = McClient("127.0.0.1", st.memcached_port)
@@ -558,6 +625,160 @@ class TestFaultsAndMetrics:
                 "repro_net_command_latency_us",
                 labels={"protocol": "resp", "command": "set"})
             assert latency.count == 1
+
+
+class TestConcurrentConnections:
+    """Connection threads share the fault clock, the connection set
+    and every counter; none of them may lose an update."""
+
+    CLIENTS = 4  # per protocol: 8 connections in all
+    COMMANDS = 500  # per connection, alternating SET and GET
+
+    def _drive(self, st):
+        """Run every client at once; returns the clients that failed."""
+        failed = []
+        barrier = threading.Barrier(2 * self.CLIENTS)
+
+        def resp(w: int) -> None:
+            with RespClient("127.0.0.1", st.resp_port) as client:
+                barrier.wait()
+                for i in range(0, self.COMMANDS, 2):
+                    client.set(f"r{w}:{i}", b"v%d" % i)
+                    assert client.get(f"r{w}:{i}") == b"v%d" % i
+
+        def memcached(w: int) -> None:
+            with McClient("127.0.0.1", st.memcached_port) as client:
+                barrier.wait()
+                for i in range(0, self.COMMANDS, 2):
+                    client.set(f"m{w}:{i}", b"v%d" % i)
+                    assert client.get(f"m{w}:{i}") == b"v%d" % i
+
+        def run(target, w: int) -> None:
+            try:
+                target(w)
+            except (ConnectionError, OSError):
+                failed.append((target.__name__, w))
+
+        threads = [threading.Thread(target=run, args=(target, w))
+                   for target in (resp, memcached)
+                   for w in range(self.CLIENTS)]
+        # Switch threads often, so an unguarded read-modify-write of
+        # shared server state would lose updates.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return failed
+
+    def test_every_command_is_counted_once(self):
+        service = CacheService(8192, "s3fifo")
+        registry = MetricsRegistry()
+        with CacheServer(service, resp_port=0, memcached_port=0,
+                         metrics=registry) as st:
+            assert self._drive(st) == []
+            total = 2 * self.CLIENTS * self.COMMANDS
+            counted = sum(
+                registry.counter(
+                    "repro_net_commands",
+                    labels={"protocol": protocol, "command": command},
+                ).collect_value()
+                for protocol in ("resp", "memcached")
+                for command in ("get", "set")
+            )
+            assert counted == total
+            with RespClient("127.0.0.1", st.resp_port) as resp:
+                info = resp.info()
+            with McClient("127.0.0.1", st.memcached_port) as mc:
+                stats = mc.stats()
+            for source in (info, stats):
+                assert int(source["gets"]) + int(source["sets"]) == total
+            for protocol in ("resp", "memcached"):
+                assert registry.counter(
+                    "repro_net_accepted", labels={"protocol": protocol},
+                ).collect_value() == self.CLIENTS + 1
+
+    def test_one_command_reset_window_resets_one_connection(self):
+        service = CacheService(8192, "s3fifo")
+        registry = MetricsRegistry()
+        plan = FaultPlan().add(CONN_RESET, 1000, 1001)
+        with CacheServer(service, resp_port=0, memcached_port=0,
+                         metrics=registry, fault_plan=plan) as st:
+            failed = self._drive(st)
+        assert len(failed) == 1
+        resets = sum(
+            registry.counter("repro_net_resets",
+                             labels={"protocol": protocol}).collect_value()
+            for protocol in ("resp", "memcached")
+        )
+        assert resets == 1
+
+
+class TestServeCommand:
+    """``serve --resp-port`` as a process: banner, answers, SIGTERM
+    drain, and the exit code of a bind failure."""
+
+    @staticmethod
+    def _serve(*args: str) -> subprocess.Popen:
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--objects",
+             "1000", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    @staticmethod
+    def _line(proc: subprocess.Popen, timeout: float = 60.0) -> str:
+        ready = select.select([proc.stdout], [], [], timeout)[0]
+        assert ready, "no output from serve"
+        return proc.stdout.readline().decode()
+
+    def test_answers_then_drains_on_sigterm(self):
+        drain_timeout = 1.0
+        proc = self._serve("--resp-port", "0",
+                           "--drain-timeout", str(drain_timeout))
+        try:
+            banner = self._line(proc)
+            assert banner.startswith("resp: listening on 127.0.0.1:")
+            port = int(banner.rsplit(":", 1)[1])
+            with RespClient("127.0.0.1", port) as client:
+                assert client.ping() == "PONG"
+                assert client.set("k", b"v")
+                assert client.get("k") == b"v"
+                proc.send_signal(signal.SIGTERM)
+                assert self._line(proc).startswith("draining:")
+            assert proc.wait(timeout=drain_timeout + 10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
+    def test_bind_failure_exits_2_with_one_stderr_line(self):
+        squatter = socket.socket()
+        squatter.bind(("127.0.0.1", 0))
+        squatter.listen(1)
+        port = squatter.getsockname()[1]
+        try:
+            proc = self._serve("--resp-port", str(port))
+            out, err = proc.communicate(timeout=60)
+        finally:
+            squatter.close()
+        assert proc.returncode == 2
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot bind 127.0.0.1 "
+                                   f"(resp port {port}): ")
+        assert b"listening" not in out
 
 
 # ----------------------------------------------------------------------
@@ -593,7 +814,7 @@ class TestBackendMatrix:
     def test_both_protocols_roundtrip(self, factory):
         service = factory()
         try:
-            with ServerThread(service, resp_port=0,
+            with CacheServer(service, resp_port=0,
                               memcached_port=0) as st:
                 resp = RespClient("127.0.0.1", st.resp_port)
                 mc = McClient("127.0.0.1", st.memcached_port)
