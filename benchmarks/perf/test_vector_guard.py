@@ -20,9 +20,11 @@ single-process and never skip, whatever the CPU count.
 
 Merges its measurements into ``benchmarks/results/BENCH_perf.json``
 as the ``"vector"`` and ``"auto_sweep"`` sections (test_perf_bench.py
-owns the rest).
+owns the rest), each only after its guard's asserts pass: a failing run
+prints its section and leaves the file as it was.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -49,8 +51,9 @@ def test_vector_engine_guard():
         seed=42,
         repeats=3,
     )
-
-    merge_section(RESULTS_PATH, "vector", section)
+    # Shown by pytest only when an assert fails; the section reaches
+    # BENCH_perf.json only after every assert has passed.
+    print(json.dumps(section, indent=2))
 
     # The workload must actually exercise lazy promotion: the guard
     # is a claim about hit-run dominance, not about miss-heavy traces.
@@ -69,11 +72,12 @@ def test_vector_engine_guard():
             f"{[r['all_walls_s'] for r in section['results'] if r['policy'] == name]}"
         )
 
+    merge_section(RESULTS_PATH, "vector", section)
+
 
 @pytest.mark.perf
 def test_auto_engine_sweep():
     section = run_auto_sweep()
-    merge_section(RESULTS_PATH, "auto_sweep", section)
     print(format_auto_sweep(section))
     slow = [
         (row["alpha"], row["policy"], row["auto_vs_best"])
@@ -92,3 +96,4 @@ def test_auto_engine_sweep():
     low, high = min(by_alpha), max(by_alpha)
     assert all(row["scalar_share"] > 0.5 for row in by_alpha[low])
     assert all(row["hit_run_share"] > 0.5 for row in by_alpha[high])
+    merge_section(RESULTS_PATH, "auto_sweep", section)

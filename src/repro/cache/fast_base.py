@@ -19,9 +19,10 @@ over preallocated parallel arrays:
 The base class owns the slot map and the slabs every twin shares
 (residency, size, insertion time).  Each twin keeps its own queue
 structure next to them: slot ``deque``s for FIFO and S3-FIFO,
-neighbour lists for SIEVE, and for LRU a doubly-linked list over two
-slabs, written out in :class:`~repro.cache.fast_lru.FastLruCache`, its
-only user.
+neighbour lists for SIEVE, and for LRU an access log of slots with a
+per-slot stamp of each slot's latest entry, so that a hit appends and
+stamps instead of relinking a list
+(:class:`~repro.cache.fast_lru.FastLruCache`).
 
 Fast policies fully support the streaming :meth:`EvictionPolicy.request`
 contract (they are registered policies like any other); the batch entry

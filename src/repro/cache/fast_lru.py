@@ -2,31 +2,39 @@
 
 from __future__ import annotations
 
-from array import array
+from itertools import islice
 
 from repro.cache.fast_base import FastPolicyBase
 from repro.sim.request import Request
 
-#: Single-element template used to build -1-filled ``array('q')`` runs.
-NEG1 = array("q", [-1])
+#: Dead log entries tolerated beyond the live ones before a compaction
+#: (see :meth:`FastLruCache._compact`).
+SLACK = 1024
+
+#: Requests a compiled-trace run appends to the log at a time.
+CHUNK = 1 << 16
 
 
 class FastLruCache(FastPolicyBase):
-    """LRU over a slab-allocated intrusive doubly-linked list.
+    """LRU as an access log with per-slot stamps.
 
-    Bit-identical to ``lru``: every hit promotes the slot to the list
-    head, misses evict from the tail until the object fits.  The list
-    is two parallel ``array('q')`` columns instead of two pointers per
-    node, which is also the layout the paper attributes to production
-    caches (Section 2.2) minus the Python objects.
+    Bit-identical to ``lru``.  Instead of relinking a doubly-linked list
+    on every hit, the twin appends the slot to an access log and stamps
+    it, the slot-level version of the reference's ``entry.last_access``:
 
-    The list mirrors :class:`repro.structures.dlist.DList` exactly: the
-    head is the most recently inserted end, the tail the eviction end.
-    ``_prv[slot]`` points toward the head (newer neighbour),
-    ``_nxt[slot]`` toward the tail; ``-1`` plays the sentinel.  The
-    head/tail pair lives in a two-element array (``_ends[0]`` = head,
-    ``_ends[1]`` = tail), which the batch loop reads into locals and
-    writes back at the end of its span.
+    * ``_log`` lists slots in access order, and ``_last[slot]`` is the
+      log index of the slot's latest access (``-1`` when not resident).
+      Entry ``p`` is live while ``_last[_log[p]] == p``; the live
+      entries, oldest first, are the reference ``DList`` from tail to
+      head.
+    * Eviction advances the cursor ``_cur`` to the oldest live entry,
+      the LRU victim.  ``remove()`` and eviction set the stamp to -1.
+    * When the log outgrows ``2 * len(self) + SLACK`` entries,
+      :meth:`_compact` keeps the live ones: amortized O(1) per append.
+
+    The streaming and batch paths share this representation; a
+    compiled-trace run appends its span ``CHUNK`` requests at a time
+    and checks the bound between chunks.
     """
 
     name = "lru-fast"
@@ -34,16 +42,15 @@ class FastLruCache(FastPolicyBase):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        sc = self._slab_cap
-        self._freq = array("q", bytes(8 * sc))
-        self._prv = NEG1 * sc
-        self._nxt = NEG1 * sc
-        self._ends = array("q", [-1, -1])
+        # lists, not arrays: a hit reads and writes both (fast_base)
+        self._freq = [0] * self._slab_cap
+        self._last = [-1] * self._slab_cap
+        self._log: list = []
+        self._cur = 0
 
     def _grow_extra(self, add: int) -> None:
-        self._freq.frombytes(bytes(8 * add))
-        self._prv.extend(NEG1 * add)
-        self._nxt.extend(NEG1 * add)
+        self._freq.extend([0] * add)
+        self._last.extend([-1] * add)
 
     # ------------------------------------------------------------------
     # Streaming path
@@ -52,7 +59,7 @@ class FastLruCache(FastPolicyBase):
         slot = self._ids.get(req.key)
         if slot is not None and self._loc[slot]:
             self._freq[slot] += 1
-            self._move_to_head(slot)
+            self._stamp(slot)
             return True
         if slot is None:
             slot = self._intern(req.key)
@@ -69,158 +76,145 @@ class FastLruCache(FastPolicyBase):
         self._insert_time[slot] = self.clock
         self._freq[slot] = 0
         self._loc[slot] = 1
-        self._push_head(slot)
         self.used += size
         self._count += 1
+        self._stamp(slot)
 
     def remove(self, key) -> bool:
         slot = self._ids.get(key)
         if slot is None or not self._loc[slot]:
             return False
-        self._unlink(slot)
+        self._last[slot] = -1
         self._loc[slot] = 0
         self.used -= self._size_of[slot]
         self._count -= 1
         return True
 
     def _evict_one(self) -> None:
-        slot = self._ends[1]
-        self._unlink(slot)
+        log = self._log
+        last = self._last
+        cur = self._cur
+        while last[log[cur]] != cur:
+            cur += 1
+        slot = log[cur]
+        self._cur = cur + 1
+        last[slot] = -1
         self._loc[slot] = 0
         self.used -= self._size_of[slot]
         self._count -= 1
-        self._notify_evict_slot(slot, self._freq[slot])
+        self._notify_evict_slot(slot)
 
     # ------------------------------------------------------------------
-    # Linked list over the slot slabs
+    # Access log
     # ------------------------------------------------------------------
-    def _push_head(self, slot: int) -> None:
-        ends = self._ends
-        head = ends[0]
-        self._prv[slot] = -1
-        self._nxt[slot] = head
-        if head != -1:
-            self._prv[head] = slot
-        else:
-            ends[1] = slot
-        ends[0] = slot
+    def _stamp(self, slot: int) -> None:
+        log = self._log
+        self._last[slot] = len(log)
+        log.append(slot)
+        if len(log) > 2 * self._count + SLACK:
+            self._compact()
 
-    def _unlink(self, slot: int) -> None:
-        ends = self._ends
-        p = self._prv[slot]
-        n = self._nxt[slot]
-        if p != -1:
-            self._nxt[p] = n
-        else:
-            ends[0] = n
-        if n != -1:
-            self._prv[n] = p
-        else:
-            ends[1] = p
-
-    def _move_to_head(self, slot: int) -> None:
-        if self._ends[0] != slot:
-            self._unlink(slot)
-            self._push_head(slot)
+    def _compact(self) -> None:
+        """Keep only the live log entries, oldest first, and restamp
+        them."""
+        last = self._last
+        cur = self._cur
+        live = [
+            slot
+            for p, slot in enumerate(islice(self._log, cur, None), cur)
+            if last[slot] == p
+        ]
+        for p, slot in enumerate(live):
+            last[slot] = p
+        self._log = live
+        self._cur = 0
 
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
     def _batch(self, trace, start, stop, slots):
-        # The miss path is _insert_slot/_evict_one written in line, with
-        # the list ends, ``used``, the count and the clock in locals
-        # (see repro.cache.fast_base).
+        # Each chunk of the span joins the log up front, and the loop
+        # walks log indices: a hit is a counter bump and a stamp.  The
+        # miss path is _insert_slot/_evict_one written in line, with the
+        # cursor, ``used``, the count and the clock in locals (see
+        # repro.cache.fast_base).  Oversized requests enter the log but
+        # are never stamped, so their entries are dead.
         assert self._lazy is None, "lru-fast has no vector kernel"
         keys = trace.key_ids()
         sizes = trace.sizes
+        ids = slots is trace.id_range()
         loc = self._loc
         freq = self._freq
+        last = self._last
         size_of = self._size_of
         insert_time = self._insert_time
-        prv = self._prv
-        nxt = self._nxt
-        ends = self._ends
-        head, tail = ends
         listening = bool(self._evict_listeners)
         cap = self.capacity
+        unit = sizes is None
         used = self.used
         count = self._count
-        clock0 = self.clock - start
+        # the clock reads t0 + i + 1 at request i
+        t0 = self.clock - start
         misses = 0
-        bytes_requested = 0
         bytes_missed = 0
         evictions = 0
-        unit = sizes is None
-        for i in range(start, stop):
-            size = 1 if unit else sizes[i]
-            bytes_requested += size
-            if size > cap:
+        for lo in range(start, stop, CHUNK):
+            hi = min(lo + CHUNK, stop)
+            log = self._log
+            base = len(log)
+            if ids:
+                log += keys[lo:hi]
+            else:
+                log += map(slots.__getitem__, keys[lo:hi])
+            cur = self._cur
+            # request i sits at log index j = i + off
+            off = base - lo
+            clock0 = t0 - off
+            for j in range(base, base + hi - lo):
+                slot = log[j]
                 # Oversized is a miss even when the key is resident, with
                 # no metadata update (matches base.request's early return).
+                if loc[slot] and (unit or sizes[j - off] <= cap):
+                    freq[slot] += 1
+                    last[slot] = j
+                    continue
+                size = 1 if unit else sizes[j - off]
                 misses += 1
                 bytes_missed += size
-                continue
-            slot = slots[keys[i]]
-            if loc[slot]:
-                freq[slot] += 1
-                if head != slot:
-                    # unlink (slot is not the head, so prv[slot] is real)
-                    p = prv[slot]
-                    n = nxt[slot]
-                    nxt[p] = n
-                    if n != -1:
-                        prv[n] = p
+                if size > cap:
+                    continue
+                used += size
+                while used > cap:
+                    # evict the oldest live entry
+                    while last[log[cur]] != cur:
+                        cur += 1
+                    victim = log[cur]
+                    cur += 1
+                    last[victim] = -1
+                    loc[victim] = 0
+                    used -= size_of[victim]
+                    count -= 1
+                    if listening:
+                        self.used = used - size
+                        self._count = count
+                        self.clock = clock0 + j + 1
+                        self._notify_evict_slot(victim)
                     else:
-                        tail = p
-                    # push at head
-                    prv[slot] = -1
-                    nxt[slot] = head
-                    prv[head] = slot
-                    head = slot
-                continue
-            misses += 1
-            bytes_missed += size
-            limit = cap - size
-            while used > limit:
-                # evict the tail
-                victim = tail
-                tail = prv[victim]
-                if tail != -1:
-                    nxt[tail] = -1
-                else:
-                    head = -1
-                loc[victim] = 0
-                used -= size_of[victim]
-                count -= 1
-                if listening:
-                    ends[0] = head
-                    ends[1] = tail
-                    self.used = used
-                    self._count = count
-                    self.clock = clock0 + i + 1
-                    self._notify_evict_slot(victim, freq[victim])
-                else:
-                    evictions += 1
-            size_of[slot] = size
-            insert_time[slot] = clock0 + i + 1
-            freq[slot] = 0
-            loc[slot] = 1
-            # push at head
-            prv[slot] = -1
-            nxt[slot] = head
-            if head != -1:
-                prv[head] = slot
-            else:
-                tail = slot
-            head = slot
-            used += size
-            count += 1
+                        evictions += 1
+                size_of[slot] = size
+                insert_time[slot] = clock0 + j + 1
+                freq[slot] = 0
+                loc[slot] = 1
+                last[slot] = j
+                count += 1
+            self._cur = cur
+            if len(log) > 2 * count + SLACK:
+                self._compact()
         requests = stop - start
-        ends[0] = head
-        ends[1] = tail
+        bytes_requested = requests if unit else sum(sizes[start:stop])
         self.used = used
         self._count = count
-        self.clock = clock0 + stop
+        self.clock = t0 + stop
         self.stats.evictions += evictions
         self._bulk_record(requests, misses, bytes_requested, bytes_missed)
         return (requests, misses, bytes_requested, bytes_missed)

@@ -9,11 +9,13 @@ batched entry points, so neither path can drift from the reference.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import fast_lru
 from repro.cache.registry import create_policy
 from repro.sim.request import Request
 from repro.sim.simulator import simulate, windowed_miss_ratios
@@ -397,3 +399,130 @@ def test_listeners_see_written_back_state(ref_name, fast_name, items):
     fast.run_compiled(compile_trace(items))
     assert len(ref_seen) > 100
     assert ref_seen == fast_seen
+
+
+def _recency(policy):
+    """Resident keys, least recently used first, of ``lru`` or
+    ``lru-fast``: the reference list from tail to head, the twin's live
+    log entries oldest first."""
+    if policy.name == "lru":
+        return [node.data.key for node in policy._list.iter_from_tail()]
+    last = policy._last
+    return [
+        policy._key_of[slot]
+        for p, slot in enumerate(policy._log)
+        if last[slot] == p
+    ]
+
+
+def _lru_trace(seed, sized, capacity):
+    """A Zipf trace; sized ones carry oversized requests, which land on
+    resident keys (popular ones) as well as absent ones."""
+    rng = random.Random(seed)
+    keys = zipf_trace(num_objects=150, num_requests=1_500, alpha=1.1,
+                      seed=seed)
+    if not sized:
+        return keys
+    return [
+        (k, capacity + 1 if rng.random() < 0.05 else rng.randint(1, 6))
+        for k in keys
+    ]
+
+
+_LRU_STEP = st.one_of(
+    st.tuples(st.sampled_from(["stream", "batch"]),
+              st.integers(1, 1_500)),
+    st.tuples(st.just("windows"), st.integers(1, 1_500),
+              st.integers(1, 200)),
+    st.tuples(st.just("remove"), st.integers(0, 149)),
+    st.tuples(st.just("switch")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    capacity=st.integers(2, 80),
+    sized=st.tuples(st.booleans(), st.booleans()),
+    listening=st.booleans(),
+    chunk=st.sampled_from([1, 5, 64, fast_lru.CHUNK]),
+    slack=st.sampled_from([0, 7, fast_lru.SLACK]),
+    steps=st.lists(_LRU_STEP, min_size=1, max_size=12),
+)
+def test_property_lru_interleaved_operations(
+    seed, capacity, sized, listening, chunk, slack, steps
+):
+    """``lru-fast`` against ``lru`` under any mix of streaming segments,
+    ``run_compiled`` spans, window-sized spans, ``remove()`` and a
+    second trace: after every step the stats, eviction events,
+    membership, ``used``, ``len()``, clock and the whole recency order
+    agree, so neither a stale stamp left by an earlier call nor a
+    restamping error in ``_compact`` can hide.  Small ``CHUNK`` and
+    ``SLACK`` values put chunk boundaries and compactions inside short
+    spans; without a listener the batch loop takes its quiet path."""
+    traces = [
+        _lru_trace(seed + n, is_sized, capacity)
+        for n, is_sized in enumerate(sized)
+    ]
+    compiled = [compile_trace(items) for items in traces]
+    keys = sorted({item[0] if isinstance(item, tuple) else item
+                   for items in traces for item in items})
+    ref = create_policy("lru", capacity)
+    fast = create_policy("lru-fast", capacity)
+    ref_events = _events(ref)
+    fast_events = _events(fast) if listening else None
+    current = 0
+    pos = [0, 0]
+    with mock.patch.object(fast_lru, "CHUNK", chunk), \
+            mock.patch.object(fast_lru, "SLACK", slack):
+        for step in steps:
+            op = step[0]
+            if op == "switch":
+                current = 1 - current
+                continue
+            if op == "remove":
+                key = keys[step[1] % len(keys)]
+                assert ref.remove(key) == fast.remove(key)
+            else:
+                items = traces[current]
+                start = pos[current]
+                stop = min(len(items), start + step[1])
+                pos[current] = stop if stop < len(items) else 0
+                ref_hits = _stream(ref, items[start:stop])
+                if op == "stream":
+                    assert _stream(fast, items[start:stop]) == ref_hits
+                else:
+                    window = step[2] if op == "windows" else stop - start
+                    for lo in range(start, stop, max(1, window)):
+                        fast.run_compiled(compiled[current], lo,
+                                          min(stop, lo + window))
+            assert _stats(ref) == _stats(fast)
+            if listening:
+                assert ref_events == fast_events
+            assert (ref.used, len(ref), ref.clock) == (
+                fast.used, len(fast), fast.clock)
+            assert _recency(ref) == _recency(fast)
+            if op in ("batch", "windows") and stop > start:
+                # every chunk ends with a compaction check
+                assert len(fast._log) <= 2 * len(fast) + slack
+            for key in keys:
+                assert (key in ref) == (key in fast)
+
+
+class TestLruLogBound:
+    """No workload grows ``lru-fast``'s access log without bound: after
+    any call it holds at most ``2 * len(cache) + SLACK`` entries."""
+
+    def test_hit_only_stream(self):
+        fast = create_policy("lru-fast", 1_000)
+        _stream(fast, list(range(100)) * 500)
+        assert fast.stats.misses == 100
+        assert len(fast._log) <= 2 * len(fast) + fast_lru.SLACK
+
+    def test_long_batch(self):
+        fast = create_policy("lru-fast", 1_000)
+        fast.run_compiled(compile_trace(list(range(100)) * 2_000))
+        assert fast.stats.misses == 100
+        assert len(fast._log) <= 2 * len(fast) + fast_lru.SLACK
+        _stream(fast, list(range(100)) * 50)
+        assert len(fast._log) <= 2 * len(fast) + fast_lru.SLACK
