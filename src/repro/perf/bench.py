@@ -41,14 +41,14 @@ import gc
 import json
 import os
 import platform
-import resource
 import statistics
-import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.sim.runner import _peak_rss_kb
 
 #: (reference, fast) registry-name pairs benchmarked by default.
 DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
@@ -99,16 +99,6 @@ def env_block() -> Dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
     }
-
-
-def _peak_rss_kb() -> int:
-    # ru_maxrss is KiB on Linux but bytes on macOS/BSD.
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin" or sys.platform.startswith(
-        ("freebsd", "netbsd", "openbsd")
-    ):
-        return rss // 1024
-    return rss
 
 
 def _measure(policy_name: str, impl: str, reference: str, trace,

@@ -4,9 +4,9 @@ A miniature libCacheSim: streaming simulation of one policy over one
 trace (:func:`simulate`), metric helpers implementing the paper's
 miss-ratio-reduction formula (:mod:`repro.sim.metrics`), and a
 multiprocessing sweep runner standing in for the authors' distributed
-computation platform (:mod:`repro.sim.runner`).  Questions over many
-cache sizes have one path each: :func:`multisim` for exact FIFO-family
-counts (which :func:`run_sweep` uses for same-trace FIFO jobs), and
+computation platform (:mod:`repro.sim.runner`), which runs each job as
+one :func:`simulate` call.  Questions over many cache sizes have one
+path each: :func:`multisim` for exact FIFO-family counts, and
 :mod:`repro.sim.mrc` for miss-ratio curves.
 
 Attributes are resolved lazily (PEP 562): :mod:`repro.cache.base`
@@ -31,8 +31,6 @@ __all__ = [
     "FailureSummary",
     "run_sweep",
     "shutdown_pool",
-    "MultiSizeSweepJob",
-    "coalesce_jobs",
     "MultiSimResult",
     "multisim",
     "fifo_multisim",
@@ -52,8 +50,6 @@ _LAZY = {
     "FailureSummary": "repro.sim.runner",
     "run_sweep": "repro.sim.runner",
     "shutdown_pool": "repro.sim.runner",
-    "MultiSizeSweepJob": "repro.sim.runner",
-    "coalesce_jobs": "repro.sim.runner",
     "MultiSimResult": "repro.sim.multisim",
     "multisim": "repro.sim.multisim",
     "fifo_multisim": "repro.sim.multisim",

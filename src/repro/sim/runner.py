@@ -7,11 +7,11 @@ regenerating synthetic traces inside the workers so no bulk data is
 pickled, and tolerating individual job failures (a failed job returns
 an error result instead of aborting the sweep).
 
-:func:`run_sweep` is the only sweep entry point.  FIFO-family jobs that
-differ only in cache size are coalesced into one
-:class:`MultiSizeSweepJob` (one :mod:`repro.sim.multisim` pass answers
-every size), so a work unit is either one job or one such group; both
-go through the same pool, retry, timeout and sequential fallback.
+:func:`run_sweep` is the only sweep entry point.  Each job is one
+:func:`~repro.sim.simulator.simulate` call, and every job goes through
+the same pool, retry, timeout and sequential fallback.  Questions over
+many sizes of one trace belong to :mod:`repro.sim.multisim` and
+:func:`~repro.sim.mrc.fifo_mrc` instead.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class SweepJob:
         "policy_kwargs",
         "cache_size",
         "tags",
-        "engine",
     )
 
     def __init__(
@@ -78,7 +77,6 @@ class SweepJob:
         cache_size: int,
         policy_kwargs: Optional[Dict[str, Any]] = None,
         tags: Optional[Dict[str, Any]] = None,
-        engine: str = "auto",
     ) -> None:
         self.trace_name = trace_name
         self.trace_factory = trace_factory
@@ -87,10 +85,6 @@ class SweepJob:
         self.policy_kwargs = dict(policy_kwargs or {})
         self.cache_size = cache_size
         self.tags = dict(tags or {})
-        #: Compiled-trace execution engine (see
-        #: :func:`repro.sim.simulator.simulate_compiled`): ``"auto"``,
-        #: ``"scalar"``, or ``"vector"``.
-        self.engine = engine
 
     def __repr__(self) -> str:
         return (
@@ -243,14 +237,20 @@ _trace_cache: Dict[Any, Any] = {}
 def _materialize_trace(job: SweepJob):
     """The job's trace, compiled and cached in this process.
 
-    The cache key is ``(trace_name, sorted trace_kwargs)``; jobs whose
-    kwargs are unhashable (lists, dicts) fall back to regenerating the
-    trace, as does anything :func:`compile_trace` cannot consume.  The
-    cache is process-local: each pool worker warms its own, which is
+    The cache key is ``(trace_factory, trace_name, sorted
+    trace_kwargs)``: one name and kwargs may stand for different traces
+    under different factories (a dataset's unit and sized variants, for
+    one).  Jobs whose kwargs are unhashable (lists, dicts) fall back to
+    regenerating the trace, as does anything :func:`compile_trace`
+    cannot consume.  The cache is process-local: each pool worker warms its own, which is
     exactly the sharing the fork-based pool gives us for free.
     """
     try:
-        key = (job.trace_name, tuple(sorted(job.trace_kwargs.items())))
+        key = (
+            job.trace_factory,
+            job.trace_name,
+            tuple(sorted(job.trace_kwargs.items())),
+        )
         cached = _trace_cache.get(key)
     except TypeError:
         key = None
@@ -283,7 +283,7 @@ def execute_job(job: SweepJob) -> SweepResult:
         policy = create_policy(
             job.policy, capacity=job.cache_size, **job.policy_kwargs
         )
-        result = simulate(policy, trace, engine=job.engine)
+        result = simulate(policy, trace)
         return SweepResult(
             trace_name=job.trace_name,
             policy=job.policy,
@@ -296,207 +296,33 @@ def execute_job(job: SweepJob) -> SweepResult:
             tags=job.tags,
         )
     except Exception:  # noqa: BLE001 - fault tolerance is the point
-        return _error_results(
+        return _error_result(
             job,
             traceback.format_exc(),
             time.perf_counter() - start,
             _peak_rss_kb(),
-        )[0]
+        )
 
 
-class MultiSizeSweepJob:
-    """N same-trace, same-policy :class:`SweepJob`\\ s collapsed into
-    one single-pass multi-size simulation.
-
-    Only the FIFO family qualifies (see
-    :data:`repro.sim.multisim.MULTISIM_POLICIES`); build these with
-    :func:`coalesce_jobs` rather than by hand so the grouping rules
-    stay in one place.  ``cache_sizes`` and ``tags_per_size`` align
-    with the original jobs, duplicates included — the single pass
-    simulates each distinct size once and fans the result back out.
-    """
-
-    __slots__ = (
-        "trace_name",
-        "trace_factory",
-        "trace_kwargs",
-        "policy",
-        "policy_kwargs",
-        "cache_sizes",
-        "tags_per_size",
+def _error_result(
+    job: SweepJob, error: str, wall_time: float = 0.0, peak_rss_kb: int = 0
+) -> SweepResult:
+    """The failed :class:`SweepResult` of one job."""
+    return SweepResult(
+        trace_name=job.trace_name,
+        policy=job.policy,
+        cache_size=job.cache_size,
+        wall_time=wall_time,
+        peak_rss_kb=peak_rss_kb,
+        tags=job.tags,
+        error=error,
     )
-
-    def __init__(
-        self,
-        trace_name: str,
-        trace_factory: TraceFactory,
-        trace_kwargs: Dict[str, Any],
-        policy: str,
-        cache_sizes: Sequence[int],
-        policy_kwargs: Optional[Dict[str, Any]] = None,
-        tags_per_size: Optional[Sequence[Dict[str, Any]]] = None,
-    ) -> None:
-        self.trace_name = trace_name
-        self.trace_factory = trace_factory
-        self.trace_kwargs = dict(trace_kwargs)
-        self.policy = policy
-        self.policy_kwargs = dict(policy_kwargs or {})
-        self.cache_sizes = list(cache_sizes)
-        if tags_per_size is None:
-            tags_per_size = [{} for _ in self.cache_sizes]
-        if len(tags_per_size) != len(self.cache_sizes):
-            raise ValueError("tags_per_size must align with cache_sizes")
-        self.tags_per_size = [dict(t) for t in tags_per_size]
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiSizeSweepJob({self.trace_name}, {self.policy}, "
-            f"sizes={self.cache_sizes})"
-        )
-
-
-def _group_key(job: SweepJob):
-    """Coalescing identity of a job (None when kwargs are unhashable)."""
-    key = (
-        job.trace_name,
-        tuple(sorted(job.trace_kwargs.items())),
-        job.policy,
-        tuple(sorted(job.policy_kwargs.items())),
-    )
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
-def coalesce_jobs(jobs: Sequence[SweepJob]):
-    """Split jobs into multi-size groups and uncoalescible leftovers.
-
-    Returns ``(groups, singles)``: ``groups`` is a list of
-    ``(original_indices, MultiSizeSweepJob)`` pairs — FIFO-family jobs
-    sharing trace, policy, and kwargs, two or more of them — and
-    ``singles`` the remaining ``(index, job)`` pairs in input order.
-    Each group replaces N per-size passes with one.
-    """
-    from repro.sim.multisim import MULTISIM_POLICIES
-
-    buckets: Dict[Any, List[int]] = {}
-    singles: List[Any] = []
-    for idx, job in enumerate(jobs):
-        # Engine-pinned jobs stay singles: coalescing runs the
-        # multisim engine, which would override an explicit choice.
-        coalescible = (
-            job.policy in MULTISIM_POLICIES and job.engine == "auto"
-        )
-        key = _group_key(job) if coalescible else None
-        if key is None:
-            singles.append((idx, job))
-            continue
-        buckets.setdefault(key, []).append(idx)
-    groups = []
-    for indices in buckets.values():
-        if len(indices) < 2:
-            singles.extend((idx, jobs[idx]) for idx in indices)
-            continue
-        first = jobs[indices[0]]
-        groups.append(
-            (
-                list(indices),
-                MultiSizeSweepJob(
-                    trace_name=first.trace_name,
-                    trace_factory=first.trace_factory,
-                    trace_kwargs=first.trace_kwargs,
-                    policy=first.policy,
-                    cache_sizes=[jobs[i].cache_size for i in indices],
-                    policy_kwargs=first.policy_kwargs,
-                    tags_per_size=[jobs[i].tags for i in indices],
-                ),
-            )
-        )
-    singles.sort(key=lambda pair: pair[0])
-    return groups, singles
-
-
-def execute_multi_job(mjob: MultiSizeSweepJob) -> List[SweepResult]:
-    """Run one multi-size job; returns a result per requested size.
-
-    One single-pass simulation answers every size; each result carries
-    its original job's tags plus ``coalesced`` (the number of distinct
-    sizes the shared pass computed).  ``wall_time`` is the *shared*
-    pass time, recorded identically on every result — sum them per
-    pass, not per row.  Failures mirror :func:`execute_job`: the whole
-    group lands in per-size error results instead of raising.
-    """
-    from repro.sim.multisim import multisim
-
-    start = time.perf_counter()
-    try:
-        trace = _materialize_trace(mjob)
-        result = multisim(
-            mjob.policy, trace, mjob.cache_sizes, **mjob.policy_kwargs
-        )
-        wall = time.perf_counter() - start
-        rss = _peak_rss_kb()
-        out = []
-        for size, tags in zip(mjob.cache_sizes, mjob.tags_per_size):
-            per_size = result.result_for(size)
-            out.append(
-                SweepResult(
-                    trace_name=mjob.trace_name,
-                    policy=mjob.policy,
-                    cache_size=size,
-                    miss_ratio=per_size.miss_ratio,
-                    byte_miss_ratio=per_size.byte_miss_ratio,
-                    requests=per_size.requests,
-                    wall_time=wall,
-                    peak_rss_kb=rss,
-                    tags={**tags, "coalesced": len(result.sizes)},
-                )
-            )
-        return out
-    except Exception:  # noqa: BLE001 - fault tolerance, as execute_job
-        return _error_results(
-            mjob,
-            traceback.format_exc(),
-            time.perf_counter() - start,
-            _peak_rss_kb(),
-        )
-
-
-def _error_results(
-    unit, error: str, wall_time: float = 0.0, peak_rss_kb: int = 0
-) -> List[SweepResult]:
-    """One failed :class:`SweepResult` per job of a work unit."""
-    if isinstance(unit, MultiSizeSweepJob):
-        sizes, tags = unit.cache_sizes, unit.tags_per_size
-    else:
-        sizes, tags = [unit.cache_size], [unit.tags]
-    return [
-        SweepResult(
-            trace_name=unit.trace_name,
-            policy=unit.policy,
-            cache_size=size,
-            wall_time=wall_time,
-            peak_rss_kb=peak_rss_kb,
-            tags=size_tags,
-            error=error,
-        )
-        for size, size_tags in zip(sizes, tags)
-    ]
-
-
-def _execute_unit(unit) -> List[SweepResult]:
-    """Run one work unit: a :class:`SweepJob` or a coalesced group."""
-    if isinstance(unit, MultiSizeSweepJob):
-        return execute_multi_job(unit)
-    return [execute_job(unit)]
 
 
 def _execute_indexed(item):
-    """Pool worker shim: ``(indices, unit) -> (indices, results)``."""
-    indices, unit = item
-    return indices, _execute_unit(unit)
+    """Pool worker shim: ``(index, job) -> (index, result)``."""
+    idx, job = item
+    return idx, execute_job(job)
 
 
 _pool: Optional[multiprocessing.pool.Pool] = None
@@ -548,38 +374,34 @@ def _sweep_chunksize(num_jobs: int, processes: int) -> int:
     return max(1, min(64, num_jobs // (processes * 4) or 1))
 
 
-def _place(results, indices, unit_results, attempt) -> bool:
-    """File a unit's results under its jobs' indices; True if any failed."""
-    failed = False
-    for idx, result in zip(indices, unit_results):
-        result.tags["attempts"] = attempt
-        results[idx] = result
-        failed = failed or not result.ok
-    return failed
+def _place(results, idx, result, attempt) -> bool:
+    """File a job's result under its index; True if it failed."""
+    result.tags["attempts"] = attempt
+    results[idx] = result
+    return not result.ok
 
 
 def _pool_round(pool, pending, results, timeout, attempt):
-    """Submit one round of work units; returns the ``(indices, unit)``
-    pairs that failed or timed out and are eligible for another
-    attempt."""
+    """Submit one round of jobs; returns the ``(index, job)`` pairs
+    that failed or timed out and are eligible for another attempt."""
     submitted = [
-        (indices, unit, pool.apply_async(_execute_unit, (unit,)))
-        for indices, unit in pending
+        (idx, job, pool.apply_async(execute_job, (job,)))
+        for idx, job in pending
     ]
     failed = []
-    for indices, unit, handle in submitted:
+    for idx, job, handle in submitted:
         try:
-            unit_results = handle.get(timeout)
+            result = handle.get(timeout)
         except multiprocessing.TimeoutError:
             # The worker may still be burning CPU; run_sweep discards
             # the shared pool after a sweep that saw timeouts.
-            unit_results = _error_results(
-                unit,
+            result = _error_result(
+                job,
                 f"SweepTimeout: job exceeded {timeout}s "
                 f"(attempt {attempt})\n",
             )
-        if _place(results, indices, unit_results, attempt):
-            failed.append((indices, unit))
+        if _place(results, idx, result, attempt):
+            failed.append((idx, job))
     return failed
 
 
@@ -619,14 +441,11 @@ def run_sweep(
 ) -> SweepReport:
     """Execute jobs, in parallel when ``processes`` allows it.
 
-    FIFO-family jobs that share trace, policy and kwargs and differ
-    only in cache size run as one single-pass multi-size simulation
-    (see :func:`coalesce_jobs`); their results are bit-identical to
-    per-job runs and carry a ``coalesced`` tag.  Results come back in
+    Each job is one :func:`execute_job` call.  Results come back in
     input order, one per job.
 
     ``processes=None`` uses one worker per CPU (capped at the number of
-    work units); ``processes<=1`` runs sequentially in-process, which
+    jobs); ``processes<=1`` runs sequentially in-process, which
     is also the fallback when the platform cannot fork.
 
     Parallel sweeps run on a persistent worker pool that survives
@@ -636,10 +455,10 @@ def run_sweep(
     via ``imap_unordered`` with a tuned chunksize so small jobs don't
     pay one IPC round-trip each.
 
-    With ``retry`` set, failed (or timed-out) work units are
+    With ``retry`` set, failed (or timed-out) jobs are
     re-executed up to ``retry.max_attempts`` times; backoff delays are
     not slept — sweeps are batch work, the retry policy only bounds the
-    attempt count and timeout.  ``timeout`` (seconds per unit attempt,
+    attempt count and timeout.  ``timeout`` (seconds per job attempt,
     parallel mode only — a stuck in-process job cannot be preempted)
     defaults to ``retry.attempt_timeout``.  Each result records its
     attempt count in ``tags["attempts"]``, and the returned
@@ -649,40 +468,35 @@ def run_sweep(
     job counts by status, retry counts, and a per-job wall-time
     histogram — all from the parent process as results arrive.
     """
-    job_list = list(jobs)
+    indexed = list(enumerate(jobs))
     report = SweepReport()
-    if not job_list:
+    if not indexed:
         return report
-    groups, singles = coalesce_jobs(job_list)
-    units = sorted(
-        groups + [([idx], job) for idx, job in singles],
-        key=lambda unit: unit[0][0],
-    )
     if timeout is None and retry is not None:
         timeout = retry.attempt_timeout
     max_attempts = retry.max_attempts if retry is not None else 1
     if processes is None:
-        processes = min(len(units), multiprocessing.cpu_count())
+        processes = min(len(indexed), multiprocessing.cpu_count())
 
     results: Dict[int, SweepResult] = {}
-    pending = units
-    if processes > 1 and len(units) > 1:
+    pending = indexed
+    if processes > 1 and len(indexed) > 1:
         try:
             pool = _get_pool(processes)
             if timeout is None and max_attempts == 1:
-                chunksize = _sweep_chunksize(len(units), processes)
+                chunksize = _sweep_chunksize(len(indexed), processes)
                 logger.debug(
-                    "sweep dispatch: %d units on %d workers, "
+                    "sweep dispatch: %d jobs on %d workers, "
                     "chunksize=%d (~%d chunks)",
-                    len(units),
+                    len(indexed),
                     processes,
                     chunksize,
-                    -(-len(units) // chunksize),
+                    -(-len(indexed) // chunksize),
                 )
-                for indices, unit_results in pool.imap_unordered(
-                    _execute_indexed, units, chunksize=chunksize
+                for idx, result in pool.imap_unordered(
+                    _execute_indexed, indexed, chunksize=chunksize
                 ):
-                    _place(results, indices, unit_results, 1)
+                    _place(results, idx, result, 1)
                 pending = []
             else:
                 for attempt in range(1, max_attempts + 1):
@@ -704,14 +518,14 @@ def run_sweep(
             # rebuild it next time.
             shutdown_pool()
             results.clear()
-            pending = units
+            pending = indexed
     for attempt in range(1, max_attempts + 1):
         if not pending:
             break
         failed = []
-        for indices, unit in pending:
-            if _place(results, indices, _execute_unit(unit), attempt):
-                failed.append((indices, unit))
+        for idx, job in pending:
+            if _place(results, idx, execute_job(job), attempt):
+                failed.append((idx, job))
         pending = failed
     report.extend(results[idx] for idx in sorted(results))
     report.log_failures()

@@ -6,8 +6,7 @@ bit-for-bit for FIFO and S-FIFO, at every size, on unit and sized
 traces alike — including oversized requests, which the reference
 counts as misses even for resident keys.  Everything here is a
 differential against the reference policies, plus the pinned error
-bound for sampled S3-FIFO curves and the sweep runner's coalescing of
-same-trace FIFO jobs into one pass.
+bound for sampled S3-FIFO curves.
 """
 
 import random
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.registry import create_policy
-from repro.resilience.retry import RetryPolicy
 from repro.sim.mrc import (
     S3FIFO_MRC_ERROR_BOUND,
     MissRatioCurve,
@@ -31,13 +29,6 @@ from repro.sim.multisim import (
     fifo_multisim,
     multisim,
     sfifo_multisim,
-)
-from repro.sim.runner import (
-    SweepJob,
-    SweepResult,
-    coalesce_jobs,
-    execute_job,
-    run_sweep,
 )
 from repro.sim.simulator import simulate
 from repro.traces.compiled import compile_trace
@@ -258,123 +249,3 @@ class TestS3FifoSampled:
             sampled_mrc("s3fifo", [1, 2], [4], rate=0.0)
         with pytest.raises(ValueError):
             sampled_mrc("s3fifo", [1, 2], [4], ensembles=0)
-
-
-class TestRunnerCoalescing:
-    TRACE_KWARGS = {
-        "num_objects": 1000,
-        "num_requests": 15_000,
-        "alpha": 1.0,
-        "seed": 3,
-    }
-
-    def _jobs(self):
-        jobs = []
-        for policy in ("fifo", "sfifo", "lru"):
-            for cap in (20, 80, 300):
-                jobs.append(
-                    SweepJob(
-                        trace_name="z",
-                        trace_factory=zipf_trace,
-                        trace_kwargs=self.TRACE_KWARGS,
-                        policy=policy,
-                        cache_size=cap,
-                        tags={"policy": policy, "cap": cap},
-                    )
-                )
-        return jobs
-
-    @staticmethod
-    def _bad_jobs():
-        return [
-            SweepJob(
-                trace_name="bad",
-                trace_factory=_failing_factory,
-                trace_kwargs={},
-                policy="fifo",
-                cache_size=cap,
-            )
-            for cap in (10, 20)
-        ]
-
-    def test_coalesce_groups_fifo_family_only(self):
-        groups, singles = coalesce_jobs(self._jobs())
-        assert [mjob.policy for _, mjob in groups] == ["fifo", "sfifo"]
-        assert all(mjob.cache_sizes == [20, 80, 300] for _, mjob in groups)
-        assert [job.policy for _, job in singles] == ["lru"] * 3
-        # Original indices survive so results reassemble in order.
-        assert [idx for idx, _ in singles] == [6, 7, 8]
-
-    def test_lone_sizes_stay_single(self):
-        jobs = self._jobs()[:1]
-        groups, singles = coalesce_jobs(jobs)
-        assert not groups
-        assert len(singles) == 1
-
-    def test_unhashable_kwargs_stay_single(self):
-        jobs = [
-            SweepJob("z", zipf_trace, {"num_objects": [1]}, "fifo", cap)
-            for cap in (10, 20)
-        ]
-        groups, singles = coalesce_jobs(jobs)
-        assert not groups
-        assert len(singles) == 2
-
-    def test_matches_run_sweep_sequential(self):
-        self._assert_matches_execute_job(processes=1)
-
-    def test_matches_execute_job_in_pool(self):
-        self._assert_matches_execute_job(processes=2)
-
-    def _assert_matches_execute_job(self, processes):
-        """Coalesced rows equal per-job execute_job runs in every field
-        but the timings: wall_time is the shared pass's, and
-        peak_rss_kb is a process-lifetime high-water mark."""
-        jobs = self._jobs()
-        baseline = [execute_job(job) for job in jobs]
-        coalesced = run_sweep(jobs, processes=processes)
-        assert len(coalesced) == len(baseline)
-        for mine, ref in zip(coalesced, baseline):
-            for field in SweepResult.__slots__:
-                if field in ("wall_time", "peak_rss_kb", "tags"):
-                    continue
-                assert getattr(mine, field) == getattr(ref, field), field
-            bookkeeping = ("attempts", "coalesced")
-            assert {
-                k: v for k, v in mine.tags.items() if k not in bookkeeping
-            } == ref.tags
-
-    def test_coalesced_tag_and_attempts(self):
-        report = run_sweep(self._jobs(), processes=1)
-        for result in report:
-            assert result.tags["attempts"] == 1
-            if result.policy in ("fifo", "sfifo"):
-                assert result.tags["coalesced"] == 3
-            else:
-                assert "coalesced" not in result.tags
-
-    def test_failed_group_degrades_to_error_results(self):
-        report = run_sweep(self._bad_jobs(), processes=1)
-        assert len(report) == 2
-        assert all(not r.ok for r in report)
-        assert all("RuntimeError" in r.error for r in report)
-        assert [r.cache_size for r in report] == [10, 20]
-
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_failed_group_is_retried(self, processes):
-        # A failing single job beside the group gives the pool two
-        # work units, so processes=2 takes the pool's retry rounds.
-        jobs = self._bad_jobs() + [
-            SweepJob("bad", _failing_factory, {}, "lru", 10)
-        ]
-        report = run_sweep(
-            jobs, processes=processes, retry=RetryPolicy(max_attempts=2)
-        )
-        assert [r.tags["attempts"] for r in report] == [2, 2, 2]
-        assert all("RuntimeError" in r.error for r in report)
-
-
-def _failing_factory(**_kwargs):
-    """A module-level trace factory that always fails (picklable, so
-    the pool path runs it in a worker)."""
-    raise RuntimeError("no trace for you")

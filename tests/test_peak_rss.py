@@ -16,11 +16,11 @@ class TestPeakRss:
         assert module._peak_rss_kb() > 0
 
     def _with_fake(self, module, monkeypatch, platform, ru_maxrss):
+        # bench re-exports the runner's helper: patch where it is defined.
+        home = sys.modules[module._peak_rss_kb.__module__]
         fake = types.SimpleNamespace(ru_maxrss=ru_maxrss)
-        monkeypatch.setattr(
-            module.resource, "getrusage", lambda who: fake
-        )
-        monkeypatch.setattr(module.sys, "platform", platform)
+        monkeypatch.setattr(home.resource, "getrusage", lambda who: fake)
+        monkeypatch.setattr(home.sys, "platform", platform)
         return module._peak_rss_kb()
 
     def test_linux_passthrough(self, module, monkeypatch):

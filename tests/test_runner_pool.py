@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.resilience.retry import RetryPolicy
 from repro.sim import runner
 from repro.sim.runner import (
     SweepJob,
+    SweepResult,
     _materialize_trace,
     _sweep_chunksize,
     execute_job,
@@ -12,6 +14,7 @@ from repro.sim.runner import (
     shutdown_pool,
 )
 from repro.traces.compiled import CompiledTrace
+from repro.traces.datasets import generate_dataset_trace, sized_dataset_trace
 from repro.traces.synthetic import zipf_trace
 
 
@@ -67,6 +70,20 @@ class TestMaterializeTrace:
         trace = _materialize_trace(job)
         assert len(trace) == 3
         assert not runner._trace_cache
+
+    def test_factory_is_part_of_the_key(self):
+        # A dataset's unit and sized traces share a name and kwargs; the
+        # sized job must not run on the unit trace cached before it.
+        kwargs = {"dataset": "msr", "trace_index": 0, "scale": 0.05,
+                  "seed": 0}
+        unit = SweepJob("msr/0", generate_dataset_trace, kwargs, "lru", 100)
+        sized = SweepJob("msr/0", sized_dataset_trace, kwargs, "lru", 100_000)
+        report = run_sweep([unit, sized], processes=1)
+        runner._trace_cache.clear()
+        fresh = execute_job(sized)
+        assert fresh.byte_miss_ratio != fresh.miss_ratio
+        assert report[1].miss_ratio == fresh.miss_ratio
+        assert report[1].byte_miss_ratio == fresh.byte_miss_ratio
 
     def test_uncompilable_trace_regenerated_fresh(self):
         # A factory yielding items compile_trace rejects must fall back
@@ -153,8 +170,6 @@ class TestPersistentPool:
         assert all(r.wall_time > 0 for r in report)
 
     def test_retry_path_still_works_with_pool(self):
-        from repro.resilience.retry import RetryPolicy
-
         report = run_sweep(
             [_job(), _job(policy="does-not-exist")],
             processes=2,
@@ -168,3 +183,91 @@ class TestPersistentPool:
         seq = run_sweep(jobs, processes=1)
         par = run_sweep(jobs, processes=2)
         assert [r.miss_ratio for r in seq] == [r.miss_ratio for r in par]
+
+
+def _failing_factory(**_kwargs):
+    """A module-level trace factory that always fails (picklable, so
+    the pool path runs it in a worker)."""
+    raise RuntimeError("no trace for you")
+
+
+class TestSweepParity:
+    """run_sweep rows equal per-job execute_job runs, sequential and
+    pooled, over FIFO-family jobs at several sizes of one trace."""
+
+    TRACE_KWARGS = {
+        "num_objects": 1000,
+        "num_requests": 15_000,
+        "alpha": 1.0,
+        "seed": 3,
+    }
+
+    def _jobs(self):
+        jobs = []
+        for policy in ("fifo", "sfifo", "lru"):
+            for cap in (20, 80, 300):
+                jobs.append(
+                    SweepJob(
+                        trace_name="z",
+                        trace_factory=zipf_trace,
+                        trace_kwargs=self.TRACE_KWARGS,
+                        policy=policy,
+                        cache_size=cap,
+                        tags={"policy": policy, "cap": cap},
+                    )
+                )
+        return jobs
+
+    @staticmethod
+    def _bad_jobs():
+        return [
+            SweepJob(
+                trace_name="bad",
+                trace_factory=_failing_factory,
+                trace_kwargs={},
+                policy="fifo",
+                cache_size=cap,
+            )
+            for cap in (10, 20)
+        ]
+
+    def test_matches_execute_job_sequential(self):
+        self._assert_matches_execute_job(processes=1)
+
+    def test_matches_execute_job_in_pool(self):
+        self._assert_matches_execute_job(processes=2)
+
+    def _assert_matches_execute_job(self, processes):
+        """Every field but the timings matches: peak_rss_kb is a
+        process-lifetime high-water mark."""
+        jobs = self._jobs()
+        baseline = [execute_job(job) for job in jobs]
+        report = run_sweep(jobs, processes=processes)
+        assert len(report) == len(baseline)
+        for mine, ref in zip(report, baseline):
+            for field in SweepResult.__slots__:
+                if field in ("wall_time", "peak_rss_kb", "tags"):
+                    continue
+                assert getattr(mine, field) == getattr(ref, field), field
+            assert mine.tags.pop("attempts") == 1
+            assert mine.tags == ref.tags
+
+    def test_failed_jobs_degrade_to_error_results(self):
+        report = run_sweep(self._bad_jobs(), processes=1)
+        assert len(report) == 2
+        assert all(not r.ok for r in report)
+        assert all("RuntimeError" in r.error for r in report)
+        assert [r.cache_size for r in report] == [10, 20]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_failed_jobs_are_retried(self, processes):
+        # Three jobs give the pool work for both workers, so
+        # processes=2 takes the pool's retry rounds.
+        jobs = self._bad_jobs() + [
+            SweepJob("bad", _failing_factory, {}, "lru", 10)
+        ]
+        report = run_sweep(
+            jobs, processes=processes, retry=RetryPolicy(max_attempts=2)
+        )
+        assert [r.tags["attempts"] for r in report] == [2, 2, 2]
+        assert all("RuntimeError" in r.error for r in report)

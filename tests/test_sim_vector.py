@@ -316,41 +316,6 @@ def test_bad_chunk_rejected():
         vector_simulate(create_policy("fifo", 60), trace, chunk=0)
 
 
-def test_sweep_job_engine_pinning():
-    from repro.sim.runner import SweepJob, coalesce_jobs, execute_job
-
-    def factory(**kwargs):
-        return TRACES["zipf"][0]
-
-    jobs = {
-        engine: SweepJob("zipf", factory, {}, "fifo", 60, engine=engine)
-        for engine in ("auto", "scalar", "vector")
-    }
-    ratios = {
-        engine: execute_job(job) for engine, job in jobs.items()
-    }
-    for engine, res in ratios.items():
-        assert res.error is None, (engine, res.error)
-    assert (
-        ratios["auto"].miss_ratio
-        == ratios["scalar"].miss_ratio
-        == ratios["vector"].miss_ratio
-    )
-    # Engine-pinned jobs must not be coalesced into a multisim batch
-    # (which would override the explicit engine choice).
-    pinned = [
-        SweepJob("zipf", factory, {}, "fifo", size, engine="scalar")
-        for size in (10, 20, 30)
-    ]
-    groups, singles = coalesce_jobs(pinned)
-    assert not groups and len(singles) == len(pinned)
-    unpinned = [
-        SweepJob("zipf", factory, {}, "fifo", size) for size in (10, 20, 30)
-    ]
-    groups, singles = coalesce_jobs(unpinned)
-    assert groups and not singles
-
-
 # ----------------------------------------------------------------------
 # Handoffs between the event loop and the twin's batch loop (auto)
 # ----------------------------------------------------------------------
